@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .divisor import dot_export, resolution_graph
@@ -303,7 +304,9 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cuspforge",
         description="Exact-arithmetic invariants of plane-curve cusps.",

@@ -24,7 +24,7 @@ class NotRealizable(CuspforgeError):
 
 
 class NotStandard(CuspforgeError):
-    """The reconstructed pair sequence fails standard validation."""
+    """A pair sequence reconstructed or taken as standard fails the standard axioms."""
 
 
 class Inconsistent(CuspforgeError):

@@ -10,6 +10,7 @@ run-length encoded because family formulas produce long constant runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from typing import Iterable
 
@@ -212,64 +213,84 @@ class PairList:
 
 @dataclass(frozen=True)
 class Semigroup:
-    """Numerical semigroup given by generators with gcd 1.
+    """Value semigroup of a plane branch, given by telescopic generators.
 
-    The gap set (complement in the naturals, finite by coprimality) is
-    sieved at construction, so instances are freely shareable.
+    The generators (b0, b1, ..., b_g) must be telescopic in the given order:
+    the gcd chain e_i = gcd(b0, ..., b_i) strictly decreases to e_g = 1, and
+    n_i * b_i lies in <b0, ..., b_{i-1}> for n_i = e_{i-1}/e_i.
+    ``semigroup_of`` gives such generators for every plane branch.  The
+    semigroup is then symmetric, and every integer n has a unique normal
+    form n = a_0*b0 + sum of a_i*b_i with 0 <= a_i < n_i (i >= 1); n lies
+    in the semigroup exactly when a_0 >= 0.
+
+    Conductor, membership and the gap count cost O(g) bigint operations.
+    The gap set is listed on first use, in O(b0 + conductor) steps.
     """
 
     generators: tuple[int, ...]
-    gaps: frozenset[int] = field(init=False, repr=False, compare=False)
+    # least n with every integer >= n in the semigroup:
+    # sum of (n_i - 1) * b_i over i >= 1, minus b0, plus 1
+    conductor: int = field(init=False, repr=False, compare=False)
+    # (b_i, e_i, n_i, inverse of b_i/e_i mod n_i) for i = 1..g
+    _levels: tuple[tuple[int, int, int, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gens = tuple(int(v) for v in self.generators)
         object.__setattr__(self, "generators", gens)
         if not gens or any(v < 1 for v in gens):
             raise ValueError("generators must be positive integers")
-        g = 0
-        for v in gens:
-            g = gcd(g, v)
-        if g != 1:
-            raise ValueError(f"generators {gens} have gcd {g} != 1")
-        object.__setattr__(self, "gaps", _sieve_gaps(gens))
+        levels: list[tuple[int, int, int, int]] = []
+        e = gens[0]
+        for i, b in enumerate(gens[1:], start=1):
+            e_next = gcd(e, b)
+            if e_next == e:
+                raise ValueError(
+                    f"generators {gens} are not telescopic: e{i} = e{i - 1} = {e}")
+            n = e // e_next
+            if _normal_remainder(n * b, levels) < 0:
+                raise ValueError(
+                    f"generators {gens} are not telescopic: "
+                    f"{n}*{b} is not in <{','.join(map(str, gens[:i]))}>")
+            levels.append((b, e_next, n, pow(b // e_next, -1, n)))
+            e = e_next
+        if e != 1:
+            raise ValueError(f"generators {gens} have gcd {e} != 1")
+        object.__setattr__(self, "_levels", tuple(levels))
+        object.__setattr__(
+            self, "conductor", sum((n - 1) * b for b, _, n, _ in levels) - gens[0] + 1)
 
     @property
-    def conductor(self) -> int:
-        """Least n with every integer >= n in the semigroup."""
-        return max(self.gaps) + 1 if self.gaps else 0
+    def gap_count(self) -> int:
+        """Number of gaps: half the conductor, by symmetry."""
+        return self.conductor // 2
+
+    @cached_property
+    def gaps(self) -> frozenset[int]:
+        """Complement in the naturals, read off the Apery set of b0.
+
+        The Apery set is the b0 normal-form sums with a_0 = 0; below each
+        element w lie the gaps w - b0, w - 2*b0, ... down to w mod b0.
+        """
+        b0 = self.generators[0]
+        apery = [0]
+        for b, _, n, _ in self._levels:
+            apery = [w + a * b for a in range(n) for w in apery]
+        return frozenset(k for w in apery for k in range(w % b0, w, b0))
 
     def __contains__(self, n: int) -> bool:
-        return n >= 0 and n not in self.gaps
+        return _normal_remainder(n, self._levels) >= 0
 
 
-def _sieve_gaps(gens: tuple[int, ...]) -> frozenset[int]:
-    ordered = sorted(set(gens))
-    lowest = ordered[0]
-    if lowest == 1:
-        return frozenset()
-    # Once `lowest` consecutive integers are representable, everything above
-    # them is too; double the sieve window until such a run appears.
-    limit = 2 * max(ordered) + 2
-    while True:
-        reach = bytearray(limit)
-        reach[0] = 1
-        for n in range(1, limit):
-            for v in ordered:
-                if v > n:
-                    break
-                if reach[n - v]:
-                    reach[n] = 1
-                    break
-        run = 0
-        for n in range(limit):
-            if reach[n]:
-                run += 1
-                if run == lowest:
-                    start = n - lowest + 1
-                    return frozenset(m for m in range(start) if not reach[m])
-            else:
-                run = 0
-        limit *= 2
+def _normal_remainder(x: int, levels) -> int:
+    """a_0 * b0 in the normal form of x over the generators behind `levels`.
+
+    Going down from the top level i, x is a multiple of e_i, and a_i is the
+    one residue mod n_i with a_i * b_i congruent to x mod e_{i-1}.
+    """
+    for b, e, n, inverse in reversed(levels):
+        x -= (x // e) * inverse % n * b
+    return x
 
 
 def hn_to_multiplicity(seq: HNSequence, form: str = REDUCED) -> MultiplicitySequence:
@@ -455,20 +476,19 @@ def semigroup_of(char: PuiseuxCharacteristic) -> Semigroup:
     for l in range(char.g):
         if l >= 1:
             acc += e[l] * (beta[l + 1] - beta[l])
-        q, r = divmod(acc, e[l])
-        assert r == 0, (char, l)
-        gens.append(q)
+        # exact: beta0 and every e_j with j <= l are multiples of e_l
+        gens.append(acc // e[l])
     return Semigroup(tuple(gens))
 
 
 def alexander_polynomial(sg: Semigroup) -> tuple[int, ...]:
-    """Coefficients of 1 + (t-1) * sum of t^k over the gaps k, low degree first."""
-    gaps = sorted(sg.gaps)
-    if not gaps:
-        return (1,)
-    coeffs = [0] * (gaps[-1] + 2)
+    """Coefficients of 1 + (t-1) * sum of t^k over the gaps k, low degree first.
+
+    The degree is the conductor: the largest gap is conductor - 1.
+    """
+    coeffs = [0] * (sg.conductor + 1)
     coeffs[0] = 1
-    for k in gaps:
+    for k in sg.gaps:
         coeffs[k] -= 1
         coeffs[k + 1] += 1
     return tuple(coeffs)

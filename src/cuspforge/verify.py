@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .divisor import discriminant, is_negative_definite, resolution_graph
+from .errors import NotStandard
 from .families import CurveRecord, FamilySpec, expected_reduced_multiplicities, generate
 from .hn import format_hn, standardize, validate
 from .invariants import (
@@ -108,7 +109,8 @@ def kkd(curve: CurveRecord) -> int:
         r = pairs[0].c // pairs[0].p
         for pr in pairs[1:]:
             r += 1 + pr.p // pr.c
-        assert r >= len(pairs), (format_hn(std), r)
+        if r < len(pairs):
+            raise NotStandard(f"{format_hn(std)} gives {r} blowups for {len(pairs)} pairs")
         total += 2 + r
     return 9 - total - 2 + curve.gamma
 

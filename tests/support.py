@@ -107,6 +107,37 @@ def semigroup_membership_oracle(generators):
     return member
 
 
+def sieve_gaps_oracle(generators) -> frozenset[int]:
+    """Gap set of any numerical semigroup, by sieving representable integers."""
+    ordered = sorted(set(generators))
+    lowest = ordered[0]
+    if lowest == 1:
+        return frozenset()
+    # Once `lowest` consecutive integers are representable, everything above
+    # them is too; double the sieve window until such a run appears.
+    limit = 2 * max(ordered) + 2
+    while True:
+        reach = bytearray(limit)
+        reach[0] = 1
+        for n in range(1, limit):
+            for v in ordered:
+                if v > n:
+                    break
+                if reach[n - v]:
+                    reach[n] = 1
+                    break
+        run = 0
+        for n in range(limit):
+            if reach[n]:
+                run += 1
+                if run == lowest:
+                    start = n - lowest + 1
+                    return frozenset(m for m in range(start) if not reach[m])
+            else:
+                run = 0
+        limit *= 2
+
+
 # ----------------------------------------------------- hypothesis strategies
 
 

@@ -326,6 +326,21 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert proc.stdout == "6/4,2/3\n"
 
+    def test_parser_reuse(self, capsys):
+        # one parser serves every call in a process: a usage error leaves
+        # nothing behind, and help text goes to the stdout of its own call
+        argv = ("invariants", "--hn", "6/4,2/3", "--json")
+        fresh = subprocess.run([sys.executable, "-m", "cuspforge.cli", *argv],
+                               capture_output=True, text=True)
+        assert fresh.returncode == 0
+        code, _, err = invoke(capsys, "invariants", "--hn")
+        assert code == 2
+        assert "expected one argument" in err
+        assert invoke(capsys, *argv) == (0, fresh.stdout, "")
+        code, out, _ = invoke(capsys, "invariants", "--help")
+        assert code == 0
+        assert out.startswith("usage: cuspforge invariants")
+
     def test_determinism(self, capsys):
         argv = ("family", "enumerate", "--max-degree", "15", "--json",
                 "--audit")

@@ -28,11 +28,18 @@ from cuspforge.invariants import (
     semigroup_of,
     zariski_from_hn,
 )
-from support import semigroup_membership_oracle, standard_hn_sequences
+from support import semigroup_membership_oracle, sieve_gaps_oracle, standard_hn_sequences
 
 
 def std(text):
     return standardize(parse_hn(text))
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 BICUSPIDAL = {
@@ -252,9 +259,54 @@ class TestSemigroup:
     @given(standard_hn_sequences(cap=200))
     def test_gaps_match_recursive_oracle(self, s):
         sg = semigroup_of(hn_to_puiseux_char(s))
+        gaps = sieve_gaps_oracle(sg.generators)
+        conductor = max(gaps) + 1 if gaps else 0
+        assert sg.conductor == conductor
         member = semigroup_membership_oracle(sg.generators)
-        for n in range(sg.conductor + 1):
+        for n in range(-1, sg.conductor + sg.generators[0]):
             assert (n in sg) == member(n)
+        assert sg.gaps == gaps
+        m, i = compute_M_I(s)
+        assert sg.gap_count == len(gaps) == (i - m) // 2
+        # Delta(t) = (1 - t) * (sum of t^n over the semigroup), cut at t^c
+        want = tuple(int(member(n)) - int(member(n - 1)) for n in range(conductor + 1))
+        assert alexander_polynomial(sg) == want
+
+    @pytest.mark.parametrize("gens", [(4, 6, 15), (4, 6, 9), (2, 3), (3, 7), (1,)])
+    def test_telescopic_generators_accepted(self, gens):
+        assert Semigroup(gens).generators == gens
+
+    @pytest.mark.parametrize("gens,msg", [
+        ((3, 4, 5), "e2 = e1 = 1"),
+        ((10, 14, 23), r"2\*23 is not in <10,14>"),
+        ((4, 6), "gcd 2"),
+        ((0, 1), "positive"),
+    ])
+    def test_non_telescopic_generators_rejected(self, gens, msg):
+        with pytest.raises(ValueError, match=msg):
+            Semigroup(gens)
+
+    # The regression cases below never read the gap set: their conductors
+    # are far too large to list.
+
+    def test_huge_single_pair(self):
+        rec = cusp_record(parse_hn(f"{10**30 + 1}/2"))
+        sg = rec.semigroup
+        assert sg.conductor == 10**30
+        assert (rec.M, rec.I) == (10**30 + 2, 2 * (10**30 + 1))
+        assert sg.gap_count == (rec.I - rec.M) // 2
+        assert sg.conductor - 1 not in sg
+        assert sg.conductor in sg
+
+    def test_or1_cusp_k6(self):
+        # the OR1 cusp of the degree F(26) curve, raw F(28)/F(24),3/1
+        d = fibonacci(26)
+        rec = cusp_record(parse_hn(f"{fibonacci(28)}/{fibonacci(24)},3/1"))
+        sg = rec.semigroup
+        assert sg.conductor == (d - 1) * (d - 2) == rec.I - rec.M
+        assert (rec.M, rec.I) == (3 * d, 2 + d * d)
+        assert sg.conductor - 1 not in sg
+        assert sg.conductor in sg
 
 
 class TestAlexander:

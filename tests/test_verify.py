@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from cuspforge.errors import NotStandard
 from cuspforge.families import CurveRecord, FamilySpec, enumerate_curves, generate
-from cuspforge.hn import parse_hn
+from cuspforge.hn import STANDARD, parse_hn
 from cuspforge.verify import (
     GENERIC,
     Q_ACYCLIC_CSTST,
@@ -123,6 +124,12 @@ class TestKkd:
     def test_signed_values(self):
         assert kkd(curve(4, 1, "3/2")) == 5
         assert kkd(curve(4, 1, "103/3")) == -28
+
+    def test_rejects_non_standard_cusp(self):
+        # a record built directly is not standardized; p1 > c1 leaves no blowups
+        bad = parse_hn("2/3", STANDARD)
+        with pytest.raises(NotStandard, match="2/3 gives 0 blowups for 1 pairs"):
+            kkd(CurveRecord(degree=4, gamma=1, cusps=((bad, bad),)))
 
 
 class TestFibrationLedger:
