@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -102,19 +100,6 @@ def _print_report(report: AuditReport) -> None:
         print(f"FAILED ({len(failed)} of {len(report.checks)} checks)")
     else:
         print(f"ok ({len(report.checks)} checks)")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("CUSPFORGE_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw, 10)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"CUSPFORGE_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 # ---------------------------------------------------------------- handlers
@@ -241,13 +226,8 @@ def _cmd_family_gen(args: argparse.Namespace) -> int:
 def _cmd_family_enumerate(args: argparse.Namespace) -> int:
     records = enumerate_curves(args.max_degree)
     reports: list[Optional[AuditReport]] = [None] * len(records)
-    if args.audit and records:
-        cap = _thread_cap()
-        if cap <= 1:
-            reports = [full_audit(r) for r in records]
-        else:
-            with ThreadPoolExecutor(max_workers=cap) as pool:
-                reports = list(pool.map(full_audit, records))
+    if args.audit:
+        reports = [full_audit(r) for r in records]
     if args.json:
         curves = []
         for record, report in zip(records, reports):

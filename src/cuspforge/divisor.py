@@ -3,8 +3,8 @@
 A divisor with simple normal crossings and no loops is modeled by its dual
 graph, a tree whose vertex weights are self-intersection numbers.  Chains
 are written [a1,...,ar] with a_i the NEGATIVE of the self-intersection.
-The module provides discriminants (two independent routes that are checked
-against each other on small trees), the star/adjoint chain calculus,
+The module provides discriminants and the negative definiteness test (one
+exact integer leaf-to-root pass over the tree), the star/adjoint calculus,
 blowups and blowdowns, contraction tests, multiplicities and shapes of
 P1-fibration fibers, and a simulator that builds the dual graph of the
 minimal log resolution of a cusp directly from its HN pairs.
@@ -12,7 +12,6 @@ minimal log resolution of a cusp directly from its HN pairs.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -31,12 +30,6 @@ NONDEGENERATE = "nondegenerate"
 CHAIN = "chain"
 SPECIAL_FORK = "special_fork"
 OTHER = "other"
-
-# Structure codes for canonical tree hashing, shared across all trees so that
-# equal codes mean equal rooted shapes.  Guarded for concurrent readers.
-_shape_codes: dict = {}
-_shape_lock = threading.Lock()
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedTree:
@@ -95,7 +88,7 @@ class WeightedTree:
             out[b].append(a)
         return {v: tuple(sorted(nb)) for v, nb in out.items()}
 
-    def _key(self) -> int:
+    def _key(self) -> tuple:
         cached = self.__dict__.get("_canon")
         if cached is None:
             cached = _canonical_code(self.weights, self.adjacency())
@@ -131,7 +124,15 @@ def _centers(n: int, adj: dict[int, tuple[int, ...]]) -> list[int]:
     return layer
 
 
-def _rooted_code(weights, adj, root: int) -> int:
+def _rooted_code(weights, adj, root: int) -> tuple:
+    """AHU code of the tree rooted at `root`, as one tuple per height level.
+
+    Level h holds the sorted distinct keys (weight, sorted child labels) of
+    the vertices of height h; a vertex's label is the position of its key in
+    the levels read in order.  The code depends on the rooted shape alone,
+    and its nesting depth is fixed, so comparing and hashing it never
+    recurses along a long chain.
+    """
     parent = {root: -1}
     order = [root]
     for v in order:
@@ -139,20 +140,33 @@ def _rooted_code(weights, adj, root: int) -> int:
             if u not in parent:
                 parent[u] = v
                 order.append(u)
-    code: dict[int, int] = {}
+    height: dict[int, int] = {}
     for v in reversed(order):
-        children = tuple(sorted(code[u] for u in adj[v] if parent.get(u) == v))
-        key = (weights[v], children)
-        with _shape_lock:
-            code[v] = _shape_codes.setdefault(key, len(_shape_codes))
-    return code[root]
+        height[v] = 1 + max((height[u] for u in adj[v] if parent[u] == v), default=-1)
+    levels: list[list[int]] = [[] for _ in range(height[root] + 1)]
+    for v in order:
+        levels[height[v]].append(v)
+    label: dict[int, int] = {}
+    index: dict[tuple, int] = {}
+    code = []
+    for level in levels:
+        keys = {
+            v: (weights[v], tuple(sorted(label[u] for u in adj[v] if parent[u] == v)))
+            for v in level
+        }
+        distinct = tuple(sorted(set(keys.values())))
+        for key in distinct:
+            index[key] = len(index)
+        for v, key in keys.items():
+            label[v] = index[key]
+        code.append(distinct)
+    return tuple(code)
 
 
-def _canonical_code(weights, adj) -> int:
+def _canonical_code(weights, adj) -> tuple:
     n = len(weights)
     if n == 0:
-        with _shape_lock:
-            return _shape_codes.setdefault("empty", len(_shape_codes))
+        return ()
     return min(_rooted_code(weights, adj, c) for c in _centers(n, adj))
 
 
@@ -241,115 +255,60 @@ def _continuant(entries: tuple[int, ...]) -> int:
     return cur
 
 
-def _negated_matrix(t: WeightedTree) -> list[list[int]]:
+def _subtree_determinants(
+    t: WeightedTree, adj: dict[int, tuple[int, ...]] | None = None
+) -> list[int]:
+    """Determinant of the negated intersection matrix of each rooted subtree.
+
+    The tree is rooted at vertex 0; values come leaves first and the root's,
+    the discriminant of the whole tree, last.  Expanding d(T_v) along v gives
+    -w_v * prod d(T_u) - sum_u d(T_u - u) * prod_{u' != u} d(T_u') over the
+    children u of v, all in integers, so a zero determinant needs no special
+    case.  Leaf-to-root Sylvester pivots are the ratios d(T_v) / prod d(T_u),
+    so the tree is negative definite exactly when every value is positive.
+    """
     n = len(t.weights)
-    m = [[0] * n for _ in range(n)]
-    for i, w in enumerate(t.weights):
-        m[i][i] = -w
-    for a, b in t.edges:
-        m[a][b] = m[b][a] = -1
-    return m
-
-
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; exact integer determinant."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [row[:] for row in mat]
-    sign = 1
-    denom = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // denom
-        denom = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _tree_discriminant(t: WeightedTree) -> int:
-    n = len(t.weights)
-    if n == 0:
-        return 1
-    adj = t.adjacency()
-    order = [0]
-    parent = {0: -1}
+    if adj is None:
+        adj = t.adjacency()
+    order = [0] if n else []
+    parent = [-1] * n
     for v in order:
         for u in adj[v]:
-            if u not in parent:
+            if u != parent[v]:
                 parent[u] = v
                 order.append(u)
-    sub = [0] * n     # determinant of the subtree at v
-    drop = [0] * n    # determinant of the subtree at v minus v itself
+    sub = [0] * n     # d(T_v)
+    drop = [1] * n    # d(T_v - v), the product of d(T_u) over the children
+    out = []
     for v in reversed(order):
-        children = [u for u in adj[v] if parent[u] == v]
-        prod = 1
-        for u in children:
-            prod *= sub[u]
+        # running product of the children's d(T_u), and the sum of d(T_u - u)
+        # times the product of the other children seen so far
+        prod, rest = 1, 0
+        for u in adj[v]:
+            if u != parent[v]:
+                rest = rest * sub[u] + drop[u] * prod
+                prod *= sub[u]
         drop[v] = prod
-        total = -t.weights[v] * prod
-        if children:
-            # exclude one child at a time via prefix/suffix products
-            k = len(children)
-            pre = [1] * (k + 1)
-            for i, u in enumerate(children):
-                pre[i + 1] = pre[i] * sub[u]
-            suf = [1] * (k + 1)
-            for i in range(k - 1, -1, -1):
-                suf[i] = suf[i + 1] * sub[children[i]]
-            for i, u in enumerate(children):
-                total -= drop[u] * pre[i] * suf[i + 1]
-        sub[v] = total
-    return sub[0]
+        sub[v] = -t.weights[v] * prod - rest
+        out.append(sub[v])
+    return out
 
 
 def discriminant(t: Divisor) -> int:
     """Determinant of the negated intersection matrix; d(empty) = 1.
 
-    Chains use the continuant recursion; trees use a linear-time pruning
-    recursion, cross-checked against dense fraction-free elimination on
-    every tree with at most 12 vertices.
+    Chains use the continuant recursion; trees use the linear-time
+    leaf-to-root expansion of `_subtree_determinants`.
     """
     if isinstance(t, Chain):
         return _continuant(t.entries)
-    d = _tree_discriminant(t)
-    if len(t.weights) <= 12:
-        assert d == _bareiss_det(_negated_matrix(t)), "discriminant routes disagree"
-    return d
+    dets = _subtree_determinants(t)
+    return dets[-1] if dets else 1
 
 
 def is_negative_definite(t: Divisor) -> bool:
-    """Sylvester test via exact leaf-to-root pivots of the negated matrix."""
-    tree = _as_tree(t)
-    n = len(tree.weights)
-    if n == 0:
-        return True
-    adj = tree.adjacency()
-    order = [0]
-    parent = {0: -1}
-    for v in order:
-        for u in adj[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    pivot: dict[int, Fraction] = {}
-    for v in reversed(order):
-        p = Fraction(-tree.weights[v])
-        for u in adj[v]:
-            if parent[u] == v:
-                p -= 1 / pivot[u]
-        if p <= 0:
-            return False
-        pivot[v] = p
-    return True
+    """Sylvester test: every rooted subtree has positive discriminant."""
+    return all(d > 0 for d in _subtree_determinants(_as_tree(t)))
 
 
 def star_concat(a: Chain, b: Chain) -> Chain:
@@ -582,11 +541,12 @@ def classify_fiber(t: Divisor) -> FiberReport:
                 star = adjoint(Chain(before))
             except EntryBelowTwo as exc:
                 raise NotAFiber(f"chain fiber is not [U,1,U*]: {exc}") from exc
+            # after == U*, and the adjoint preserves the discriminant, so
+            # d(U) = d(U*) holds without a separate check
             if star.entries != after:
                 raise NotAFiber(
                     f"chain fiber is not [U,1,U*]: adjoint of {before} is "
                     f"{star.entries}, found {after}")
-            assert _continuant(before) == _continuant(after)
         return FiberReport(CHAIN, mu, minus_ones)
 
     if max(degrees) == 3 and degrees.count(3) == 1:
@@ -636,7 +596,8 @@ def _simulate(pairs: tuple[HNPair, ...]):
             weights.append(-1)
             if ra is not None and rb is not None:
                 e = (ra, rb) if ra < rb else (rb, ra)
-                assert e in edges, "real references must be adjacent"
+                if e not in edges:
+                    raise RuntimeError(f"blowup references v{ra} and v{rb} are not adjacent")
                 edges.remove(e)
                 edges.add((ra, new))
                 edges.add((rb, new))
@@ -663,31 +624,38 @@ def _simulate(pairs: tuple[HNPair, ...]):
 class MarkedResolution:
     """Dual graph of the minimal log resolution of one cusp.
 
-    c_vertex is the unique (-1)-curve; attach marks where the proper
-    transform of the branch meets the divisor (the same curve).  mult is
-    the full multiplicity sequence read off during the construction.
+    c_vertex is the unique (-1)-curve, which the proper transform of the
+    branch meets.  mult is the full multiplicity sequence read off during
+    the construction.
     """
 
     tree: WeightedTree
     c_vertex: int
-    attach: int
     mult: MultiplicitySequence
     hn: HNSequence
 
     def chain(self) -> Chain:
         """The divisor as a chain, (-1)-curve followed by the heavier side."""
-        adj = self.tree.adjacency()
-        if any(len(nb) > 2 for nb in adj.values()):
-            raise ValueError("divisor is not a chain")
-        order = _path_order(self.tree, adj)
-        pos = order.index(self.c_vertex)
-        left = [-self.tree.weights[v] for v in order[pos - 1::-1]] if pos else []
-        right = [-self.tree.weights[v] for v in order[pos + 1:]]
-        if _continuant(tuple(left)) >= _continuant(tuple(right)):
-            heavier, lighter = left, right
-        else:
-            heavier, lighter = right, left
-        return Chain(tuple(reversed(lighter)) + (1,) + tuple(heavier))
+        heavier, lighter = _chain_sides(self.tree, self.c_vertex)
+        return Chain(lighter[::-1] + (1,) + heavier)
+
+
+def _chain_sides(tree: WeightedTree, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Entries on the two sides of vertex v of a chain, read outward from v.
+
+    The side of larger discriminant comes first; on a tie, the side toward
+    the tip with the smaller id.
+    """
+    adj = tree.adjacency()
+    if any(len(nb) > 2 for nb in adj.values()):
+        raise ValueError("divisor is not a chain")
+    order = _path_order(tree, adj)
+    pos = order.index(v)
+    left = tuple(-tree.weights[u] for u in order[pos - 1::-1]) if pos else ()
+    right = tuple(-tree.weights[u] for u in order[pos + 1:])
+    if _continuant(left) >= _continuant(right):
+        return left, right
+    return right, left
 
 
 def resolution_graph(seq: HNSequence) -> MarkedResolution:
@@ -698,7 +666,7 @@ def resolution_graph(seq: HNSequence) -> MarkedResolution:
     else:
         std = standardize(seq)
     tree, mult, last = _simulate(std.pairs)
-    return MarkedResolution(tree=tree, c_vertex=last, attach=last, mult=mult, hn=std)
+    return MarkedResolution(tree=tree, c_vertex=last, mult=mult, hn=std)
 
 
 @dataclass(frozen=True)
@@ -737,19 +705,11 @@ def hn_chain_identities(c: int, p: int) -> ChainIdentityReport:
     if gcd(c, p) != 1:
         raise NotCoprime(f"gcd({c},{p}) = {gcd(c, p)} != 1")
     tree, _, last = _simulate((HNPair(c, p),))
-    adj = tree.adjacency()
-    order = _path_order(tree, adj)
-    pos = order.index(last)
-    left = tuple(-tree.weights[v] for v in order[pos - 1::-1]) if pos else ()
-    right = tuple(-tree.weights[v] for v in order[pos + 1:])
-    if _continuant(left) >= _continuant(right):
-        a_side, b_side = left, right
-    else:
-        a_side, b_side = right, left
+    a_side, b_side = _chain_sides(tree, last)
     return ChainIdentityReport(
         c=c,
         p=p,
-        q_chain=Chain(tuple(-tree.weights[v] for v in order)),
+        q_chain=Chain(b_side[::-1] + (1,) + a_side),
         a_side=a_side,
         b_side=b_side,
         d_a=_continuant(a_side),
@@ -772,6 +732,6 @@ def dot_export(obj) -> str:
     for a, b in tree.edges:
         lines.append(f"  v{a} -- v{b};")
     if marked:
-        lines.append(f"  v{marked.attach} -- E [style=dashed];")
+        lines.append(f"  v{marked.c_vertex} -- E [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -419,8 +419,3 @@ def _table_reduced(runs) -> MultiplicitySequence:
     while filtered and filtered[-1][0] == 1:
         filtered.pop()
     return MultiplicitySequence.from_runs(filtered, REDUCED)
-
-
-# Public alias matching the operation name.  No function in this module calls
-# the builtin of the same name, so the module-level shadowing is safe.
-enumerate = enumerate_curves

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .divisor import discriminant, is_negative_definite, resolution_graph
+from .divisor import _subtree_determinants, resolution_graph
 from .errors import NotStandard
 from .families import CurveRecord, FamilySpec, expected_reduced_multiplicities, generate
 from .hn import format_hn, standardize, validate
@@ -200,10 +200,11 @@ def full_audit(obj: Union[FamilySpec, CurveRecord]) -> AuditReport:
         branching = sum(1 for nb in adj.values() if len(nb) >= 3)
         checks.append(_eq(f"{tag}_resolution_branching_count",
                           branching, std.h - 1))
-        checks.append(_eq(f"{tag}_resolution_discriminant",
-                          discriminant(res.tree), 1))
+        # one pass gives d(Q) (the root's value) and definiteness (all > 0)
+        dets = _subtree_determinants(res.tree, adj)
+        checks.append(_eq(f"{tag}_resolution_discriminant", dets[-1], 1))
         checks.append(Check(f"{tag}_resolution_negative_definite",
-                            is_negative_definite(res.tree), "definite", "definite"))
+                            all(d > 0 for d in dets), "definite", "definite"))
         checks.append(_eq(f"{tag}_resolution_multiplicities",
                           res.mult.to_text(), full.to_text()))
     if record.family is not None:

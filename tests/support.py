@@ -90,6 +90,66 @@ def induced_discriminant(tree: WeightedTree, keep) -> int:
     return total
 
 
+def negated_matrix(tree: WeightedTree) -> list[list[int]]:
+    """Minus the intersection matrix of the tree, as dense integer rows."""
+    n = len(tree.weights)
+    m = [[0] * n for _ in range(n)]
+    for i, w in enumerate(tree.weights):
+        m[i][i] = -w
+    for a, b in tree.edges:
+        m[a][b] = m[b][a] = -1
+    return m
+
+
+def bareiss_det(mat: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination; exact integer determinant."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [row[:] for row in mat]
+    sign = 1
+    denom = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // denom
+        denom = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def sylvester_definite_oracle(tree: WeightedTree) -> bool:
+    """Negative definiteness from exact Fraction pivots, eliminated leaf to root."""
+    n = len(tree.weights)
+    if n == 0:
+        return True
+    adj = tree.adjacency()
+    order = [0]
+    parent = {0: -1}
+    for v in order:
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    pivot: dict[int, Fraction] = {}
+    for v in reversed(order):
+        p = Fraction(-tree.weights[v])
+        for u in adj[v]:
+            if parent[u] == v:
+                p -= 1 / pivot[u]
+        if p <= 0:
+            return False
+        pivot[v] = p
+    return True
+
+
 def semigroup_membership_oracle(generators):
     """Recursive representability test, independent of the gap sieve."""
     gens = tuple(sorted(generators))

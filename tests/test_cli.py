@@ -216,22 +216,6 @@ class TestFamily:
         assert len(obj["curves"]) == 4
         assert all(c["audit_ok"] is True for c in obj["curves"])
 
-    def test_enumerate_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUSPFORGE_THREADS", "4")
-        _, threaded, _ = invoke(capsys, "family", "enumerate",
-                                "--max-degree", "12", "--audit")
-        monkeypatch.setenv("CUSPFORGE_THREADS", "1")
-        _, serial, _ = invoke(capsys, "family", "enumerate",
-                              "--max-degree", "12", "--audit")
-        assert threaded == serial
-
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUSPFORGE_THREADS", "bogus")
-        code, _, err = invoke(capsys, "family", "enumerate",
-                              "--max-degree", "5", "--audit")
-        assert code == 2
-        assert err == "error: CUSPFORGE_THREADS must be a positive integer, got 'bogus'\n"
-
 
 class TestVerify:
     def test_degree_seven(self, capsys):

@@ -1,9 +1,14 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
 from hypothesis import given
 
+import cuspforge
 from cuspforge.divisor import (
     CHAIN,
     Chain,
@@ -25,7 +30,7 @@ from cuspforge.divisor import (
     resolution_graph,
     star_concat,
 )
-from cuspforge.divisor import _simulate
+from cuspforge.divisor import _simulate, _subtree_determinants
 from cuspforge.errors import (
     EntryBelowTwo,
     NotAFiber,
@@ -35,27 +40,20 @@ from cuspforge.errors import (
 from cuspforge.hn import HNPair, format_hn, parse_hn, standardize
 from cuspforge.invariants import FULL, hn_to_multiplicity
 from support import (
+    bareiss_det,
     chains,
     induced_discriminant,
+    negated_matrix,
     random_standard_hn,
     random_tree,
     standard_hn_sequences,
+    sylvester_definite_oracle,
     weighted_trees,
 )
 
 
 def ch(*entries):
     return Chain(tuple(entries))
-
-
-def _negated_matrix(t):
-    n = len(t)
-    m = [[0] * n for _ in range(n)]
-    for i, w in enumerate(t.weights):
-        m[i][i] = -w
-    for u, v in t.edges:
-        m[u][v] = m[v][u] = -1
-    return m
 
 
 class TestWeightedTree:
@@ -76,6 +74,34 @@ class TestWeightedTree:
         b = WeightedTree((-3, -2, -2), ((1, 0), (0, 2)))
         assert a == b and hash(a) == hash(b)
         c = WeightedTree((-2, -2, -3), ((0, 1), (1, 2)))
+        assert a != c
+
+    def test_pickle_equality_across_processes(self):
+        # the other process hashes an unrelated tree first, so a code that
+        # depended on what a process had seen before would differ here
+        script = (
+            "import pickle, sys\n"
+            "from cuspforge.divisor import WeightedTree\n"
+            "hash(WeightedTree((-7,), ()))\n"
+            "t = WeightedTree((-2, -1, -3), ((0, 1), (1, 2)))\n"
+            "hash(t)\n"
+            "sys.stdout.buffer.write(pickle.dumps(t))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cuspforge.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        t = pickle.loads(proc.stdout)
+        same = WeightedTree((-3, -1, -2), ((0, 1), (1, 2)))
+        assert t == same and hash(t) == hash(same)
+        assert t != WeightedTree((-2, -2, -3), ((0, 1), (1, 2)))
+
+    def test_long_chain_equality(self):
+        # codes stay shallow however long the chain (this one is 2001 deep)
+        a = ch(*([2] * 2000 + [3] + [2] * 2000)).to_tree()
+        b = ch(*([2] * 2000 + [3] + [2] * 2000)).reverse().to_tree()
+        c = ch(*([2] * 1999 + [3] + [2] * 2001)).to_tree()
+        assert a == b and hash(a) == hash(b)
         assert a != c
 
     def test_adjacency(self):
@@ -130,7 +156,7 @@ class TestDiscriminant:
     def test_matches_sympy_determinant(self, rng):
         for _ in range(60):
             t = random_tree(rng, rng.randint(1, 8), wlow=-5)
-            assert discriminant(t) == sympy.Matrix(_negated_matrix(t)).det()
+            assert discriminant(t) == sympy.Matrix(negated_matrix(t)).det()
 
     def test_edge_split_identity(self, rng):
         # removing an edge (u,v): d(T) = d(T1)d(T2) - d(T1-u)d(T2-v)
@@ -156,9 +182,10 @@ class TestDiscriminant:
 
     @given(weighted_trees(max_size=12))
     def test_tree_routes_agree(self, t):
-        # the O(n) recursion carries an internal fraction-free cross-check
-        # for small trees; calling it at all sizes exercises that assert
-        discriminant(t)
+        assert discriminant(t) == bareiss_det(negated_matrix(t))
+
+    def test_empty_tree(self):
+        assert discriminant(WeightedTree((), ())) == 1
 
 
 class TestNegativeDefinite:
@@ -170,8 +197,29 @@ class TestNegativeDefinite:
     def test_matches_sympy(self, rng):
         for _ in range(60):
             t = random_tree(rng, rng.randint(1, 7), wlow=-4, whigh=0)
-            m = sympy.Matrix([[-x for x in row] for row in _negated_matrix(t)])
+            m = sympy.Matrix([[-x for x in row] for row in negated_matrix(t)])
             assert is_negative_definite(t) == bool(m.is_negative_definite)
+
+    def test_empty_tree(self):
+        assert is_negative_definite(WeightedTree((), ()))
+        assert is_negative_definite(Chain(()))
+
+    @pytest.mark.parametrize("tree", [
+        ch(5, 2, 1, 2).to_tree(),  # the subtree [2,1,2] is singular
+        ch(1, 1).to_tree(),  # so is the whole tree
+        WeightedTree((-3, -1, -1), ((0, 1), (1, 2))),
+        WeightedTree((-2, -1, -2, -2), ((0, 1), (1, 2), (1, 3))),
+        WeightedTree((-2, -2, 0), ((0, 1), (1, 2))),
+    ])
+    def test_zero_subtree_determinant(self, tree):
+        assert 0 in _subtree_determinants(tree)
+        assert discriminant(tree) == bareiss_det(negated_matrix(tree))
+        assert not is_negative_definite(tree)
+        assert not sylvester_definite_oracle(tree)
+
+    @given(weighted_trees(wlow=-4, whigh=0))
+    def test_matches_fraction_pivots(self, t):
+        assert is_negative_definite(t) == sylvester_definite_oracle(t)
 
 
 class TestStarAndAdjoint:
@@ -344,7 +392,7 @@ class TestFibers:
                            ((3, 1, 2, 2), None)]:
             t = Chain(entries).to_tree()
             mu = fiber_multiplicities(t)
-            m = [[-x for x in row] for row in _negated_matrix(t)]
+            m = [[-x for x in row] for row in negated_matrix(t)]
             for row in m:
                 assert sum(a * b for a, b in zip(row, mu)) == 0
 
