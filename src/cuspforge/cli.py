@@ -179,7 +179,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         }
         _print_json(obj)
         return 0
-    adj = res.tree.adjacency()
     rows = [
         ("hn", format_hn(std)),
         ("vertices", str(len(res.tree))),
@@ -225,27 +224,26 @@ def _cmd_family_gen(args: argparse.Namespace) -> int:
 
 def _cmd_family_enumerate(args: argparse.Namespace) -> int:
     records = enumerate_curves(args.max_degree)
-    reports: list[Optional[AuditReport]] = [None] * len(records)
+    # only the verdicts are printed, so no report outlives its audit
+    verdicts: list[Optional[bool]] = [None] * len(records)
     if args.audit:
-        reports = [full_audit(r) for r in records]
+        verdicts = [full_audit(r).ok for r in records]
     if args.json:
         curves = []
-        for record, report in zip(records, reports):
+        for record, ok in zip(records, verdicts):
             obj = record.to_json_obj()
-            if report is not None:
-                obj["audit_ok"] = report.ok
+            if ok is not None:
+                obj["audit_ok"] = ok
             curves.append(obj)
         _print_json({"curves": curves})
     else:
-        for record, report in zip(records, reports):
+        for record, ok in zip(records, verdicts):
             line = _curve_line(record)
-            if report is not None:
-                line += "  audit " + ("ok" if report.ok else "FAILED")
+            if ok is not None:
+                line += "  audit " + ("ok" if ok else "FAILED")
             print(line)
         print(f"{len(records)} curves with degree <= {args.max_degree}")
-    if args.audit and any(r is not None and not r.ok for r in reports):
-        return 1
-    return 0
+    return 1 if False in verdicts else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -6,16 +6,23 @@ are written [a1,...,ar] with a_i the NEGATIVE of the self-intersection.
 The module provides discriminants and the negative definiteness test (one
 exact integer leaf-to-root pass over the tree), the star/adjoint calculus,
 blowups and blowdowns, contraction tests, multiplicities and shapes of
-P1-fibration fibers, and a simulator that builds the dual graph of the
-minimal log resolution of a cusp directly from its HN pairs.
+P1-fibration fibers, and the dual graph of the minimal log resolution of a
+cusp, built directly from its HN pairs.
+
+The resolution is held as runs: the blowups of one Euclidean quotient form
+a chain of (-2)-curves ending in the newest curve, so building it and
+computing its audited invariants cost O(#quotients) integer operations,
+however large the quotients.  The tree with one vertex per blowup is
+expanded only when it is read, for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import (
     EntryBelowTwo,
@@ -23,7 +30,7 @@ from .errors import (
     NotContractible,
     NotCoprime,
 )
-from .hn import HNPair, HNSequence, STANDARD, require_valid, standardize
+from .hn import HNPair, HNSequence, RAW, STANDARD, require_valid, standardize
 from .invariants import FULL, MultiplicitySequence
 
 NONDEGENERATE = "nondegenerate"
@@ -77,6 +84,15 @@ class WeightedTree:
             if ra == rb:
                 raise ValueError("edges form a cycle")
             parent[ra] = rb
+
+    @classmethod
+    def _trusted(cls, weights: tuple[int, ...],
+                 edges: tuple[tuple[int, int], ...]) -> "WeightedTree":
+        """A tree known to be valid: int weights, sorted (a, b) edges with a < b."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "weights", weights)
+        object.__setattr__(tree, "edges", edges)
+        return tree
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -255,9 +271,7 @@ def _continuant(entries: tuple[int, ...]) -> int:
     return cur
 
 
-def _subtree_determinants(
-    t: WeightedTree, adj: dict[int, tuple[int, ...]] | None = None
-) -> list[int]:
+def _subtree_determinants(t: WeightedTree) -> list[int]:
     """Determinant of the negated intersection matrix of each rooted subtree.
 
     The tree is rooted at vertex 0; values come leaves first and the root's,
@@ -268,8 +282,7 @@ def _subtree_determinants(
     so the tree is negative definite exactly when every value is positive.
     """
     n = len(t.weights)
-    if adj is None:
-        adj = t.adjacency()
+    adj = t.adjacency()
     order = [0] if n else []
     parent = [-1] * n
     for v in order:
@@ -573,100 +586,230 @@ def classify_fiber(t: Divisor) -> FiberReport:
     return FiberReport(OTHER, mu, minus_ones)
 
 
-def _simulate(pairs: tuple[HNPair, ...]):
-    """Run the blowup process of a chain-consistent HN pair list.
+class Run(NamedTuple):
+    """The blowups of one Euclidean quotient, as a chain of new vertices.
 
-    Two reference curves carry the running intersection pair (a, b); only
-    realized exceptional curves get vertices.  The first pair starts with
-    both references virtual (the germ and its transversal); every later
-    pair starts from the previous pair's last exceptional curve plus a
-    fresh virtual germ.  Each blowup records min(a, b) as a multiplicity.
+    The run holds the consecutive ids first, ..., first + length - 1, in
+    blowup order.  Every vertex but the newest has weight -2; the newest
+    has weight `end`.
     """
-    weights: list[int] = []
-    edges: set[tuple[int, int]] = set()
-    runs: list[tuple[int, int]] = []
-    last = None
-    for idx, pair in enumerate(pairs):
-        ra = last if idx > 0 else None
-        rb = None
-        a, b = pair.c, pair.p
-        while True:
-            runs.append((min(a, b), 1))
-            new = len(weights)
-            weights.append(-1)
-            if ra is not None and rb is not None:
-                e = (ra, rb) if ra < rb else (rb, ra)
-                if e not in edges:
-                    raise RuntimeError(f"blowup references v{ra} and v{rb} are not adjacent")
-                edges.remove(e)
-                edges.add((ra, new))
-                edges.add((rb, new))
-                weights[ra] -= 1
-                weights[rb] -= 1
-            elif ra is not None or rb is not None:
-                s = ra if ra is not None else rb
-                edges.add((s, new))
-                weights[s] -= 1
-            if a > b:
-                rb = new
-                a -= b
-            elif b > a:
-                ra = new
-                b -= a
-            else:
-                last = new
-                break
-    tree = WeightedTree(tuple(weights), tuple(sorted(edges)))
-    return tree, MultiplicitySequence.from_runs(runs, FULL), last
+
+    first: int
+    length: int
+    end: int
+
+    @property
+    def newest(self) -> int:
+        return self.first + self.length - 1
+
+
+class ResolutionInvariants(NamedTuple):
+    """The values the per-cusp resolution audit compares."""
+
+    minus_ones: int      # number of (-1)-curves
+    curve_degree: int    # neighbours of the marked (-1)-curve
+    branching: int       # vertices of degree >= 3
+    discriminant: int
+    definite: bool
 
 
 @dataclass(frozen=True)
 class MarkedResolution:
-    """Dual graph of the minimal log resolution of one cusp.
+    """Dual graph of the minimal log resolution of one cusp, held as runs.
 
-    c_vertex is the unique (-1)-curve, which the proper transform of the
-    branch meets.  mult is the full multiplicity sequence read off during
-    the construction.
+    The vertices are the runs' vertices, and the edges are the chain edges
+    inside each run plus `links`, which join ends of runs.  c_vertex is
+    the unique (-1)-curve, which the proper transform of the branch meets.
+    mult is the full multiplicity sequence read off during the
+    construction.  `tree` expands the runs on first use.
     """
 
-    tree: WeightedTree
+    runs: tuple[Run, ...]
+    links: tuple[tuple[int, int], ...]
     c_vertex: int
     mult: MultiplicitySequence
     hn: HNSequence
 
+    @cached_property
+    def tree(self) -> WeightedTree:
+        """The dual graph with one vertex per blowup; a tree by construction."""
+        weights: list[int] = []
+        edges = list(self.links)
+        for first, length, end in self.runs:
+            weights += [-2] * (length - 1)
+            weights.append(end)
+            edges += zip(range(first, first + length - 1), range(first + 1, first + length))
+        edges.sort()
+        return WeightedTree._trusted(tuple(weights), tuple(edges))
+
+    def _junctions(self) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
+        """The tree with every run interior contracted.
+
+        Its vertices are the oldest and newest vertex of each run; each
+        maps to its weight and to its neighbours, given as (vertex, number
+        of (-2)-curves between them).
+        """
+        weight: dict[int, int] = {}
+        adj: dict[int, list[tuple[int, int]]] = {}
+        for run in self.runs:
+            newest = run.newest
+            weight[newest] = run.end
+            adj[newest] = []
+            if run.length > 1:
+                weight[run.first] = -2
+                adj[run.first] = [(newest, run.length - 2)]
+                adj[newest].append((run.first, run.length - 2))
+        for u, v in self.links:
+            adj[u].append((v, 0))
+            adj[v].append((u, 0))
+        return weight, adj
+
+    def invariants(self) -> ResolutionInvariants:
+        """The audited values, in O(#runs) integer operations.
+
+        Vertices inside runs have degree 2 and weight -2, so only run ends
+        are counted.  The subtree determinants of `_subtree_determinants`
+        are taken with the (-1)-curve as root; through k (-2)-curves the
+        pair (d(T_v), d(T_v - v)) moves by [[k+1, -k], [k, 1-k]], so the k
+        determinants inside a run are linear in their position and are all
+        positive when the two at its ends are.
+        """
+        weight, adj = self._junctions()
+        root = self.c_vertex
+        parent = {root: root}
+        order = [root]
+        for v in order:
+            for u, _ in adj[v]:
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+        sub: dict[int, int] = {}
+        drop: dict[int, int] = {}
+        definite = True
+        for v in reversed(order):
+            prod, rest = 1, 0
+            for u, k in adj[v]:
+                if parent[u] != v:
+                    continue
+                s, d = sub[u], drop[u]
+                if k:
+                    s, d = (k + 1) * s - k * d, k * s - (k - 1) * d
+                    definite = definite and s > 0
+                rest = rest * s + d * prod
+                prod *= s
+            sub[v] = -weight[v] * prod - rest
+            drop[v] = prod
+            definite = definite and sub[v] > 0
+        return ResolutionInvariants(
+            minus_ones=sum(1 for run in self.runs if run.end == -1),
+            curve_degree=len(adj[root]),
+            branching=sum(1 for nb in adj.values() if len(nb) >= 3),
+            discriminant=sub[root],
+            definite=definite,
+        )
+
     def chain(self) -> Chain:
         """The divisor as a chain, (-1)-curve followed by the heavier side."""
-        heavier, lighter = _chain_sides(self.tree, self.c_vertex)
+        heavier, lighter = self._chain_sides()
         return Chain(lighter[::-1] + (1,) + heavier)
 
+    def _chain_sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Entries on the two sides of the (-1)-curve of a chain, read outward.
 
-def _chain_sides(tree: WeightedTree, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Entries on the two sides of vertex v of a chain, read outward from v.
+        The side of larger discriminant comes first; on a tie, the side
+        toward the tip with the smaller id.
+        """
+        weight, adj = self._junctions()
+        if any(len(nb) > 2 for nb in adj.values()):
+            raise ValueError("divisor is not a chain")
+        sides = []
+        for step in adj[self.c_vertex]:
+            prev, (v, k) = self.c_vertex, step
+            entries: list[int] = []
+            det, det_before = 1, 0  # continuants of the entries and of all but the last
+            while True:
+                entries += [2] * k
+                det, det_before = (k + 1) * det - k * det_before, k * det - (k - 1) * det_before
+                entries.append(-weight[v])
+                det, det_before = -weight[v] * det - det_before, det
+                ahead = [s for s in adj[v] if s[0] != prev]
+                if not ahead:
+                    break
+                prev, (v, k) = v, ahead[0]
+            sides.append((v, tuple(entries), det))
+        while len(sides) < 2:
+            sides.append((self.c_vertex, (), 1))
+        (_, left, d_left), (_, right, d_right) = sorted(sides)
+        return (left, right) if d_left >= d_right else (right, left)
 
-    The side of larger discriminant comes first; on a tie, the side toward
-    the tip with the smaller id.
+
+def _resolve(hn: HNSequence) -> MarkedResolution:
+    """Run the blowup process of a chain-consistent HN pair list, run by run.
+
+    Two reference curves carry the running intersection pair (a, b); each
+    blowup records min(a, b) as a multiplicity and subtracts it from the
+    larger entry.  While a > b (b > a) the curve paired with b (a) is
+    replaced by each new exceptional curve, so the q blowups of one
+    Euclidean quotient form a run: a chain from the moving reference
+    through the new vertices to the fixed reference.  Each new vertex but
+    the newest is met once more and ends at weight -2; the fixed reference
+    drops by q and the moving one by 1.  The next quotient swaps the roles,
+    its run replacing the edge between the newest vertex and the fixed
+    reference, which only the last run of a pair keeps.  The first pair
+    starts with both references virtual (the germ and its transversal);
+    every later pair starts from the previous pair's newest vertex plus a
+    fresh virtual germ.  Virtual references get no vertex.
     """
-    adj = tree.adjacency()
-    if any(len(nb) > 2 for nb in adj.values()):
-        raise ValueError("divisor is not a chain")
-    order = _path_order(tree, adj)
-    pos = order.index(v)
-    left = tuple(-tree.weights[u] for u in order[pos - 1::-1]) if pos else ()
-    right = tuple(-tree.weights[u] for u in order[pos + 1:])
-    if _continuant(left) >= _continuant(right):
-        return left, right
-    return right, left
+    runs: list[Run] = []
+    ends: list[int] = []    # running weight of each run's newest vertex
+    links: list[tuple[int, int]] = []
+    mult: list[tuple[int, int]] = []
+    size = 0
+    last = -1               # the run whose newest vertex ends the previous pair
+    for pair in hn.pairs:
+        a, b = pair.c, pair.p
+        # run indices of the references; -1 is virtual
+        fixed, moving = (last, -1) if a >= b else (-1, last)
+        big, small = max(a, b), min(a, b)
+        while True:
+            q, r = divmod(big, small)
+            mult.append((small, q))
+            if moving >= 0:
+                ends[moving] -= 1
+                links.append((runs[moving].newest, size))
+            if fixed >= 0:
+                ends[fixed] -= q
+            runs.append(Run(size, q, -1))
+            ends.append(-1)
+            size += q
+            if r == 0:
+                if fixed >= 0:
+                    links.append((runs[fixed].newest, size - 1))
+                last = len(runs) - 1
+                break
+            fixed, moving = len(runs) - 1, fixed
+            big, small = small, r
+    return MarkedResolution(
+        runs=tuple(Run(run.first, run.length, end) for run, end in zip(runs, ends)),
+        links=tuple(links),
+        c_vertex=size - 1,
+        mult=MultiplicitySequence.from_runs(mult, FULL),
+        hn=hn,
+    )
 
 
 def resolution_graph(seq: HNSequence) -> MarkedResolution:
-    """Build the marked resolution; non-standard input is standardized."""
+    """Build the marked resolution; non-standard input is standardized.
+
+    The cost is O(#Euclidean quotients) integer operations, whatever the
+    size of the quotients; `MarkedResolution.tree` expands the runs.
+    """
     if seq.flavor == STANDARD:
         require_valid(seq)
         std = seq
     else:
         std = standardize(seq)
-    tree, mult, last = _simulate(std.pairs)
-    return MarkedResolution(tree=tree, c_vertex=last, mult=mult, hn=std)
+    return _resolve(std)
 
 
 @dataclass(frozen=True)
@@ -704,8 +847,7 @@ def hn_chain_identities(c: int, p: int) -> ChainIdentityReport:
         raise ValueError(f"need c > p >= 1, got ({c},{p})")
     if gcd(c, p) != 1:
         raise NotCoprime(f"gcd({c},{p}) = {gcd(c, p)} != 1")
-    tree, _, last = _simulate((HNPair(c, p),))
-    a_side, b_side = _chain_sides(tree, last)
+    a_side, b_side = _resolve(HNSequence((HNPair(c, p),), RAW))._chain_sides()
     return ChainIdentityReport(
         c=c,
         p=p,

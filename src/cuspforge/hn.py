@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable
 
@@ -74,6 +75,11 @@ class HNSequence:
 
     def with_flavor(self, flavor: str) -> "HNSequence":
         return HNSequence(self.pairs, flavor)
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """The report of :func:`validate`, computed once per instance."""
+        return _check_axioms(self)
 
     def to_text(self) -> str:
         return format_hn(self)
@@ -138,8 +144,13 @@ def validate(seq: HNSequence) -> ValidationReport:
     Violations are data in the report, not exceptions.  Both flavors require
     the gcd-chain law and terminal coprimality; the standard flavor adds the
     head conditions, no equal pairs, and strict decrease of the c-chain down
-    to ``c_{h+1} = 1``.
+    to ``c_{h+1} = 1``.  A sequence is immutable, so its report is computed
+    once and kept on it (``HNSequence.validation``).
     """
+    return seq.validation
+
+
+def _check_axioms(seq: HNSequence) -> ValidationReport:
     pairs = seq.pairs
     h = len(pairs)
     bad: list[Violation] = []

@@ -8,8 +8,9 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from cuspforge.divisor import Chain, WeightedTree, discriminant
+from cuspforge.divisor import Chain, WeightedTree, _subtree_determinants, discriminant
 from cuspforge.hn import HNPair, HNSequence, RAW, STANDARD
+from cuspforge.invariants import FULL, MultiplicitySequence
 
 
 def random_standard_hn(rng: random.Random, max_h: int = 4, cap: int = 10_000) -> HNSequence:
@@ -150,6 +151,92 @@ def sylvester_definite_oracle(tree: WeightedTree) -> bool:
     return True
 
 
+def simulate_resolution(pairs: tuple[HNPair, ...]):
+    """Run the blowup process of a chain-consistent HN pair list, one blowup a step.
+
+    Two reference curves carry the running intersection pair (a, b); only
+    realized exceptional curves get vertices.  The first pair starts with
+    both references virtual (the germ and its transversal); every later
+    pair starts from the previous pair's last exceptional curve plus a
+    fresh virtual germ.  Each blowup records min(a, b) as a multiplicity.
+    Returns the validated tree, the full multiplicity sequence and the id
+    of the last exceptional curve.
+    """
+    weights: list[int] = []
+    edges: set[tuple[int, int]] = set()
+    runs: list[tuple[int, int]] = []
+    last = None
+    for idx, pair in enumerate(pairs):
+        ra = last if idx > 0 else None
+        rb = None
+        a, b = pair.c, pair.p
+        while True:
+            runs.append((min(a, b), 1))
+            new = len(weights)
+            weights.append(-1)
+            if ra is not None and rb is not None:
+                e = (ra, rb) if ra < rb else (rb, ra)
+                if e not in edges:
+                    raise RuntimeError(f"blowup references v{ra} and v{rb} are not adjacent")
+                edges.remove(e)
+                edges.add((ra, new))
+                edges.add((rb, new))
+                weights[ra] -= 1
+                weights[rb] -= 1
+            elif ra is not None or rb is not None:
+                s = ra if ra is not None else rb
+                edges.add((s, new))
+                weights[s] -= 1
+            if a > b:
+                rb = new
+                a -= b
+            elif b > a:
+                ra = new
+                b -= a
+            else:
+                last = new
+                break
+    tree = WeightedTree(tuple(weights), tuple(sorted(edges)))
+    return tree, MultiplicitySequence.from_runs(runs, FULL), last
+
+
+def resolution_invariants_oracle(tree: WeightedTree, c_vertex: int):
+    """The five audited resolution values, read off an expanded tree.
+
+    Same order as ``ResolutionInvariants``: (-1)-curves, neighbours of the
+    marked curve, branching vertices, discriminant, negative definiteness.
+    """
+    adj = tree.adjacency()
+    dets = _subtree_determinants(tree)
+    return (
+        sum(1 for w in tree.weights if w == -1),
+        len(adj[c_vertex]),
+        sum(1 for nb in adj.values() if len(nb) >= 3),
+        dets[-1],
+        all(d > 0 for d in dets),
+    )
+
+
+def chain_oracle(tree: WeightedTree, v: int) -> tuple[int, ...]:
+    """Entries of a chain tree with vertex v as 1, heavier side after it.
+
+    The path is read from its tip with the smaller id; the side of v with
+    the larger continuant goes last, and on a tie the side toward that tip.
+    """
+    adj = tree.adjacency()
+    start = min(u for u in adj if len(adj[u]) <= 1)
+    order, prev = [start], -1
+    while len(order) < len(adj):
+        order.append(next(u for u in adj[order[-1]] if u != prev))
+        prev = order[-2]
+    pos = order.index(v)
+    left = tuple(-tree.weights[u] for u in reversed(order[:pos]))
+    right = tuple(-tree.weights[u] for u in order[pos + 1:])
+    if discriminant(Chain(left)) >= discriminant(Chain(right)):
+        return right[::-1] + (1,) + left
+    return left[::-1] + (1,) + right
+
+
 def semigroup_membership_oracle(generators):
     """Recursive representability test, independent of the gap sieve."""
     gens = tuple(sorted(generators))
@@ -205,6 +292,15 @@ def sieve_gaps_oracle(generators) -> frozenset[int]:
 def standard_hn_sequences(draw, max_h: int = 3, cap: int = 500) -> HNSequence:
     seed = draw(st.integers(0, 2**48 - 1))
     return random_standard_hn(random.Random(seed), max_h=max_h, cap=cap)
+
+
+@st.composite
+def resolution_corpus_hn(draw, cap: int = 10_000) -> HNSequence:
+    """The resolution corpus: `random_standard_hn` or `stress_standard_hn`."""
+    rng = random.Random(draw(st.integers(0, 2**48 - 1)))
+    if draw(st.booleans()):
+        return stress_standard_hn(rng, cap=cap)
+    return random_standard_hn(rng, max_h=4, cap=cap)
 
 
 @st.composite

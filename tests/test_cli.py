@@ -216,6 +216,18 @@ class TestFamily:
         assert len(obj["curves"]) == 4
         assert all(c["audit_ok"] is True for c in obj["curves"])
 
+    def test_enumerate_failed_audit_exit_code(self, capsys, monkeypatch):
+        import cuspforge.cli as cli
+        from cuspforge.verify import AuditReport, Check
+
+        failing = AuditReport((Check("forced", False, 1, 0),))
+        monkeypatch.setattr(cli, "full_audit", lambda record: failing)
+        for extra in ((), ("--json",)):
+            code, out, _ = invoke(capsys, "family", "enumerate",
+                                  "--max-degree", "5", "--audit", *extra)
+            assert code == 1
+            assert "FAILED" in out or '"audit_ok": false' in out
+
 
 class TestVerify:
     def test_degree_seven(self, capsys):

@@ -1,12 +1,14 @@
+import dataclasses
 import os
 import pickle
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 import cuspforge
 from cuspforge.divisor import (
@@ -30,22 +32,26 @@ from cuspforge.divisor import (
     resolution_graph,
     star_concat,
 )
-from cuspforge.divisor import _simulate, _subtree_determinants
+from cuspforge.divisor import _subtree_determinants
 from cuspforge.errors import (
     EntryBelowTwo,
     NotAFiber,
     NotContractible,
     NotCoprime,
 )
-from cuspforge.hn import HNPair, format_hn, parse_hn, standardize
+from cuspforge.hn import STANDARD, HNPair, format_hn, parse_hn, standardize
 from cuspforge.invariants import FULL, hn_to_multiplicity
 from support import (
     bareiss_det,
+    chain_oracle,
     chains,
     induced_discriminant,
     negated_matrix,
     random_standard_hn,
     random_tree,
+    resolution_corpus_hn,
+    resolution_invariants_oracle,
+    simulate_resolution,
     standard_hn_sequences,
     sylvester_definite_oracle,
     weighted_trees,
@@ -435,7 +441,7 @@ class TestResolution:
 
     def test_raw_pair_list_same_graph(self):
         a = resolution_graph(standardize(parse_hn("6/4,2/3")))
-        tree, mult, last = _simulate(
+        tree, mult, last = simulate_resolution(
             tuple(HNPair(c, p) for c, p in ((6, 4), (2, 2), (2, 1))))
         assert tree.weights == a.tree.weights
         assert tree.edges == a.tree.edges
@@ -476,6 +482,76 @@ class TestResolution:
         assert sum(1 for nb in adj.values() if len(nb) >= 3) == s.h - 1
         assert max(len(nb) for nb in adj.values()) <= 3
         assert res.mult == hn_to_multiplicity(s, FULL)
+
+
+class TestRunForm:
+    """The run-length resolution against the one-blowup-a-step oracle."""
+
+    @settings(max_examples=60)
+    @given(resolution_corpus_hn())
+    def test_tree_matches_simulation(self, s):
+        res = resolution_graph(s)
+        tree, mult, last = simulate_resolution(s.pairs)
+        assert res.tree.weights == tree.weights
+        assert res.tree.edges == tree.edges
+        assert res.c_vertex == last
+        assert res.mult == mult
+
+    @settings(max_examples=60)
+    @given(resolution_corpus_hn())
+    def test_invariants_match_tree_pass(self, s):
+        res = resolution_graph(s)
+        tree, _, last = simulate_resolution(s.pairs)
+        assert tuple(res.invariants()) == resolution_invariants_oracle(tree, last)
+        assert tuple(res.invariants()) == (1, 2, s.h - 1, 1, True)
+
+    @settings(max_examples=150)
+    @given(standard_hn_sequences(max_h=4, cap=300), st.data())
+    def test_invariants_exact_on_altered_weights(self, s, data):
+        # any end weights, definite or not: the run-form values must agree
+        # with the vertex-by-vertex pass on the expanded tree
+        res = resolution_graph(s)
+        runs = tuple(
+            run._replace(end=run.end + data.draw(st.integers(-3, 2)))
+            for run in res.runs)
+        altered = dataclasses.replace(res, runs=runs)
+        assert (tuple(altered.invariants())
+                == resolution_invariants_oracle(altered.tree, res.c_vertex))
+
+    @given(standard_hn_sequences(max_h=1, cap=3000))
+    def test_chain_matches_path_reading(self, s):
+        res = resolution_graph(s)
+        tree, _, last = simulate_resolution(s.pairs)
+        assert res.chain().entries == chain_oracle(tree, last)
+
+    def test_nonpositive_value_inside_a_run(self):
+        # every run end keeps a positive subtree value here; only a value
+        # inside the run of eight vertices 1..8 is not positive
+        res = resolution_graph(parse_hn("54/48,6/11", STANDARD))
+        ends = (-11, -5, -1, -6, 0)
+        altered = dataclasses.replace(res, runs=tuple(
+            run._replace(end=e) for run, e in zip(res.runs, ends)))
+        assert altered.invariants() == (1, 2, 1, 67, False)
+        assert not is_negative_definite(altered.tree)
+
+    def test_tree_expanded_only_on_demand(self):
+        res = resolution_graph(standardize(parse_hn("6/4,2/3")))
+        assert "tree" not in res.__dict__
+        tree = res.tree
+        assert res.tree is tree
+        assert tree == WeightedTree(tree.weights, tree.edges)
+
+    def test_huge_quotient_without_tree(self):
+        c = 10**18 + 1
+        t0 = time.process_time()
+        res = resolution_graph(parse_hn(f"{c}/2"))
+        inv = res.invariants()
+        assert time.process_time() - t0 < 0.5
+        # one run of (c-1)/2 blowups at multiplicity 2, then two at 1
+        assert res.c_vertex == (c - 1) // 2 + 1
+        assert res.mult.runs == ((2, (c - 1) // 2), (1, 2))
+        assert inv == (1, 2, 0, 1, True)
+        assert "tree" not in res.__dict__
 
 
 class TestChainIdentities:

@@ -64,6 +64,12 @@ class TestValidation:
         assert validate(seq("7/3", STANDARD)).ok
         assert validate(seq("12/8,4/6,2/1", STANDARD)).ok
 
+    def test_report_kept_on_the_sequence(self):
+        for s in (seq("6/4,2/3", STANDARD), seq("6/4,3/2", RAW)):
+            assert validate(s) is validate(s)
+        # an equal but distinct sequence computes its own, equal report
+        assert validate(seq("6/4,3/2")) == validate(seq("6/4,3/2"))
+
     def test_axioms_reported(self):
         rep = validate(HNSequence((HNPair(4, 4), HNPair(4, 2)), STANDARD))
         axioms = {v.axiom for v in rep.violations}

@@ -1,10 +1,14 @@
+import dataclasses
 import random
+import time
 
 import pytest
 
+import cuspforge.verify as verify
 from cuspforge.errors import NotStandard
 from cuspforge.families import CurveRecord, FamilySpec, enumerate_curves, generate
 from cuspforge.hn import STANDARD, parse_hn
+from cuspforge.invariants import MultiplicitySequence
 from cuspforge.verify import (
     GENERIC,
     Q_ACYCLIC_CSTST,
@@ -228,3 +232,41 @@ class TestFullAudit:
         rep = full_audit(DEGREE_SEVEN)
         assert rep.ok
         assert all("table" not in c.name for c in rep.checks)
+
+    def test_corrupted_run_weight_fails_resolution_checks(self, monkeypatch):
+        # lowering one weight of a definite tree raises its discriminant by
+        # that of the rest of the tree, so d = 1 (or definiteness) must fail
+        real = verify.resolution_graph
+        for spec in (FamilySpec("G", (7,)), FamilySpec("A", (2, 2, 1)),
+                     FamilySpec("OR1", (2,))):
+            for index in (0, 1):
+                def corrupted(seq, index=index):
+                    res = real(seq)
+                    runs = list(res.runs)
+                    runs[index] = runs[index]._replace(end=runs[index].end - 1)
+                    return dataclasses.replace(res, runs=tuple(runs))
+
+                monkeypatch.setattr(verify, "resolution_graph", corrupted)
+                names = {c.name for c in full_audit(spec).failed()}
+                assert names & {"cusp1_resolution_discriminant",
+                                "cusp1_resolution_negative_definite"}, (spec, index)
+            monkeypatch.setattr(verify, "resolution_graph", real)
+            assert full_audit(spec).ok
+
+    def test_multiplicity_checks_carry_sequences(self):
+        rep = full_audit(FamilySpec("G", (5,)))
+        by_name = {c.name: c for c in rep.checks}
+        check = by_name["cusp1_resolution_multiplicities"]
+        assert isinstance(check.lhs, MultiplicitySequence)
+        assert check.lhs == check.rhs
+        assert str(check.lhs) == "4,4,4,4,1,1,1,1"
+        assert str(by_name["cusp2_table_multiplicities"].rhs) == "2,2,2,2"
+
+
+class TestAuditScaling:
+    def test_huge_family_parameter(self):
+        # the resolution checks cost O(#Euclidean quotients), not O(gamma)
+        t0 = time.process_time()
+        rep = full_audit(FamilySpec("G", (10**12,)))
+        assert time.process_time() - t0 < 2.0
+        assert rep.ok
