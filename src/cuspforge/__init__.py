@@ -4,7 +4,7 @@ Hamburger-Noether pair calculus, classical invariants (multiplicity
 sequences, Puiseux data, semigroups, Alexander polynomials), resolution
 dual graphs with blowup/contraction calculus, the known bicuspidal curve
 families, and arithmetic audit reports.  All computation is exact integer
-or rational arithmetic.
+arithmetic.
 """
 
 from .divisor import (

@@ -3,11 +3,12 @@
 A divisor with simple normal crossings and no loops is modeled by its dual
 graph, a tree whose vertex weights are self-intersection numbers.  Chains
 are written [a1,...,ar] with a_i the NEGATIVE of the self-intersection.
-The module provides discriminants and the negative definiteness test (one
-exact integer leaf-to-root pass over the tree), the star/adjoint calculus,
-blowups and blowdowns, contraction tests, multiplicities and shapes of
-P1-fibration fibers, and the dual graph of the minimal log resolution of a
-cusp, built directly from its HN pairs.
+The module provides discriminants, the negative definiteness test and
+fiber multiplicities (one exact integer leaf-to-root pass over the tree,
+which also reads the resolution in run form), the star/adjoint calculus,
+blowups and blowdowns, contraction tests, shapes of P1-fibration fibers,
+and the dual graph of the minimal log resolution of a cusp, built directly
+from its HN pairs.
 
 The resolution is held as runs: the blowups of one Euclidean quotient form
 a chain of (-2)-curves ending in the newest curve, so building it and
@@ -19,9 +20,8 @@ expanded only when it is read, for output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Union
 
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     NotContractible,
     NotCoprime,
 )
-from .hn import HNPair, HNSequence, RAW, STANDARD, require_valid, standardize
+from .hn import HNPair, HNSequence, RAW, standard_form
 from .invariants import FULL, MultiplicitySequence
 
 NONDEGENERATE = "nondegenerate"
@@ -271,40 +271,63 @@ def _continuant(entries: tuple[int, ...]) -> int:
     return cur
 
 
-def _subtree_determinants(t: WeightedTree) -> list[int]:
-    """Determinant of the negated intersection matrix of each rooted subtree.
+def _subtree_determinants(weight, adj, root: int):
+    """One leaf-to-root pass of subtree determinants over a rooted tree.
 
-    The tree is rooted at vertex 0; values come leaves first and the root's,
-    the discriminant of the whole tree, last.  Expanding d(T_v) along v gives
-    -w_v * prod d(T_u) - sum_u d(T_u - u) * prod_{u' != u} d(T_u') over the
-    children u of v, all in integers, so a zero determinant needs no special
-    case.  Leaf-to-root Sylvester pivots are the ratios d(T_v) / prod d(T_u),
-    so the tree is negative definite exactly when every value is positive.
+    Vertices are 0..n-1 and adj[v] lists pairs (u, k): a neighbour u of v
+    and the number k of (-2)-curves on the edge between them, so an edge
+    may stand for a run (k is 0 throughout a plain tree).  T_v is v's
+    subtree plus the k curves on v's edge to its parent, and t_v is its
+    curve next to the parent (v itself when k is 0).  Returns the order
+    (root first), the parents (-1 at the root), d(T_v) and d(T_v - t_v),
+    d being the determinant of minus the intersection matrix.
+
+    Expanding along v gives -w_v * prod d(T_u) - sum_u d(T_u - t_u) *
+    prod_{u' != u} d(T_u') over the children u, all in integers, so a zero
+    determinant needs no special case; the k curves on top then move the
+    pair by [[k+1, -k], [k, 1-k]].  Leaf-to-root Sylvester pivots are
+    ratios of these values, so the tree is negative definite exactly when
+    every d(T_v) is positive.  The branches that end inside a run need no
+    check: after the product of v's children, the determinants of v's
+    subtree and of each longer piece of the run form an arithmetic
+    progression, positive throughout when both of its ends are.
     """
-    n = len(t.weights)
-    adj = t.adjacency()
-    order = [0] if n else []
+    n = len(adj)
     parent = [-1] * n
+    gap = [0] * n       # k on the edge to the parent
+    order = [root] if n else []
     for v in order:
-        for u in adj[v]:
-            if u != parent[v]:
+        p = parent[v]
+        for u, k in adj[v]:
+            if u != p:
                 parent[u] = v
+                gap[u] = k
                 order.append(u)
-    sub = [0] * n     # d(T_v)
-    drop = [1] * n    # d(T_v - v), the product of d(T_u) over the children
-    out = []
+    sub = [0] * n       # d(T_v)
+    drop = [1] * n      # d(T_v - t)
     for v in reversed(order):
-        # running product of the children's d(T_u), and the sum of d(T_u - u)
+        # running product of the children's d(T_u), and the sum of d(T_u - t)
         # times the product of the other children seen so far
-        prod, rest = 1, 0
-        for u in adj[v]:
-            if u != parent[v]:
+        prod, rest, p = 1, 0, parent[v]
+        for u, _ in adj[v]:
+            if u != p:
                 rest = rest * sub[u] + drop[u] * prod
                 prod *= sub[u]
-        drop[v] = prod
-        sub[v] = -t.weights[v] * prod - rest
-        out.append(sub[v])
-    return out
+        s, d = -weight[v] * prod - rest, prod
+        k = gap[v]
+        if k:
+            s, d = (k + 1) * s - k * d, k * s - (k - 1) * d
+        sub[v], drop[v] = s, d
+    return order, parent, sub, drop
+
+
+def _tree_determinants(t: WeightedTree):
+    """`_subtree_determinants` on a plain tree, rooted at vertex 0."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in t.weights]
+    for a, b in t.edges:
+        adj[a].append((b, 0))
+        adj[b].append((a, 0))
+    return _subtree_determinants(t.weights, adj, 0)
 
 
 def discriminant(t: Divisor) -> int:
@@ -315,13 +338,13 @@ def discriminant(t: Divisor) -> int:
     """
     if isinstance(t, Chain):
         return _continuant(t.entries)
-    dets = _subtree_determinants(t)
-    return dets[-1] if dets else 1
+    sub = _tree_determinants(t)[2]
+    return sub[0] if sub else 1
 
 
 def is_negative_definite(t: Divisor) -> bool:
     """Sylvester test: every rooted subtree has positive discriminant."""
-    return all(d > 0 for d in _subtree_determinants(_as_tree(t)))
+    return all(d > 0 for d in _tree_determinants(_as_tree(t))[2])
 
 
 def star_concat(a: Chain, b: Chain) -> Chain:
@@ -456,48 +479,31 @@ def fiber_multiplicities(t: Divisor) -> tuple[int, ...]:
     """The primitive positive kernel vector of the intersection matrix.
 
     A reduced fiber of a P1-fibration supports a unique such vector (the
-    component multiplicities).  Kernel dimension other than one, or a
-    kernel vector with entries of mixed sign, means no fiber structure.
+    component multiplicities); without one there is no fiber structure.
+    By Perron-Frobenius a positive kernel vector makes minus the matrix
+    positive semidefinite with a simple kernel, so, rooted at vertex 0, the
+    tree is a fiber exactly when d(T) = 0 and every other subtree
+    determinant is positive (Zariski's lemma: proper parts of a fiber are
+    negative definite).  The kernel vector is then the root row of the
+    adjugate: x_root = d(T - root) and x_u = x_v * d(T_u - u) / d(T_u) for
+    each child u of v, an exact division since d(T_u) divides x_v.
     """
     tree = _as_tree(t)
-    n = len(tree.weights)
-    if n == 0:
+    if not tree.weights:
         raise NotAFiber("empty divisor")
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i, w in enumerate(tree.weights):
-        m[i][i] = Fraction(w)
-    for a, b in tree.edges:
-        m[a][b] = m[b][a] = Fraction(1)
-
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n):
-        sel = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivot_cols.append(col)
-        row += 1
-    if n - row != 1:
-        raise NotAFiber(f"kernel dimension {n - row} != 1")
-    free = next(c for c in range(n) if c not in pivot_cols)
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for r, col in enumerate(pivot_cols):
-        x[col] = -m[r][free]
-    scale = lcm(*(xi.denominator for xi in x))
-    v = [int(xi * scale) for xi in x]
-    g = gcd(*v)
-    v = [vi // g for vi in v]
-    if any(vi <= 0 for vi in v):
-        raise NotAFiber(f"kernel vector {tuple(v)} is not positive")
-    return tuple(v)
+    order, parent, sub, drop = _tree_determinants(tree)
+    if sub[0] != 0:
+        raise NotAFiber(f"kernel dimension 0: discriminant {sub[0]} != 0")
+    for v in order[1:]:
+        if sub[v] <= 0:
+            raise NotAFiber(f"kernel vector is not positive: the subtree at "
+                            f"vertex {v} has discriminant {sub[v]}")
+    x = [0] * len(order)
+    x[0] = drop[0]
+    for v in order[1:]:
+        x[v] = x[parent[v]] // sub[v] * drop[v]
+    g = gcd(*x)
+    return tuple(xi // g for xi in x)
 
 
 @dataclass(frozen=True)
@@ -642,70 +648,46 @@ class MarkedResolution:
         edges.sort()
         return WeightedTree._trusted(tuple(weights), tuple(edges))
 
-    def _junctions(self) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
-        """The tree with every run interior contracted.
+    def _junctions(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
+        """The tree with every run interior contracted, numbered in id order.
 
-        Its vertices are the oldest and newest vertex of each run; each
-        maps to its weight and to its neighbours, given as (vertex, number
-        of (-2)-curves between them).
+        Its vertices are the oldest and newest vertex of each run, so the
+        (-1)-curve c_vertex, the newest of all, comes last.  Each has its
+        weight and its neighbours, given as (vertex, number of (-2)-curves
+        between them), the form `_subtree_determinants` reads.
         """
-        weight: dict[int, int] = {}
-        adj: dict[int, list[tuple[int, int]]] = {}
+        weight: list[int] = []
+        adj: list[list[tuple[int, int]]] = []
+        index: dict[int, int] = {}
         for run in self.runs:
-            newest = run.newest
-            weight[newest] = run.end
-            adj[newest] = []
             if run.length > 1:
-                weight[run.first] = -2
-                adj[run.first] = [(newest, run.length - 2)]
-                adj[newest].append((run.first, run.length - 2))
+                index[run.first] = len(weight)
+                weight.append(-2)
+                adj.append([(len(weight), run.length - 2)])
+            index[run.newest] = len(weight)
+            weight.append(run.end)
+            adj.append([(len(weight) - 2, run.length - 2)] if run.length > 1 else [])
         for u, v in self.links:
-            adj[u].append((v, 0))
-            adj[v].append((u, 0))
+            adj[index[u]].append((index[v], 0))
+            adj[index[v]].append((index[u], 0))
         return weight, adj
 
     def invariants(self) -> ResolutionInvariants:
         """The audited values, in O(#runs) integer operations.
 
         Vertices inside runs have degree 2 and weight -2, so only run ends
-        are counted.  The subtree determinants of `_subtree_determinants`
-        are taken with the (-1)-curve as root; through k (-2)-curves the
-        pair (d(T_v), d(T_v - v)) moves by [[k+1, -k], [k, 1-k]], so the k
-        determinants inside a run are linear in their position and are all
-        positive when the two at its ends are.
+        are counted; the determinants come from `_subtree_determinants`
+        over the run ends, rooted at the (-1)-curve.
         """
         weight, adj = self._junctions()
-        root = self.c_vertex
-        parent = {root: root}
-        order = [root]
-        for v in order:
-            for u, _ in adj[v]:
-                if u not in parent:
-                    parent[u] = v
-                    order.append(u)
-        sub: dict[int, int] = {}
-        drop: dict[int, int] = {}
-        definite = True
-        for v in reversed(order):
-            prod, rest = 1, 0
-            for u, k in adj[v]:
-                if parent[u] != v:
-                    continue
-                s, d = sub[u], drop[u]
-                if k:
-                    s, d = (k + 1) * s - k * d, k * s - (k - 1) * d
-                    definite = definite and s > 0
-                rest = rest * s + d * prod
-                prod *= s
-            sub[v] = -weight[v] * prod - rest
-            drop[v] = prod
-            definite = definite and sub[v] > 0
+        root = len(weight) - 1
+        sub = _subtree_determinants(weight, adj, root)[2]
         return ResolutionInvariants(
             minus_ones=sum(1 for run in self.runs if run.end == -1),
             curve_degree=len(adj[root]),
-            branching=sum(1 for nb in adj.values() if len(nb) >= 3),
+            branching=sum(1 for nb in adj if len(nb) >= 3),
             discriminant=sub[root],
-            definite=definite,
+            definite=all(d > 0 for d in sub),
         )
 
     def chain(self) -> Chain:
@@ -720,25 +702,23 @@ class MarkedResolution:
         toward the tip with the smaller id.
         """
         weight, adj = self._junctions()
-        if any(len(nb) > 2 for nb in adj.values()):
+        if any(len(nb) > 2 for nb in adj):
             raise ValueError("divisor is not a chain")
+        root = len(weight) - 1
+        _, parent, sub, _ = _subtree_determinants(weight, adj, root)
         sides = []
-        for step in adj[self.c_vertex]:
-            prev, (v, k) = self.c_vertex, step
-            entries: list[int] = []
-            det, det_before = 1, 0  # continuants of the entries and of all but the last
+        for v, k in adj[root]:
+            det, entries = sub[v], []
             while True:
                 entries += [2] * k
-                det, det_before = (k + 1) * det - k * det_before, k * det - (k - 1) * det_before
                 entries.append(-weight[v])
-                det, det_before = -weight[v] * det - det_before, det
-                ahead = [s for s in adj[v] if s[0] != prev]
+                ahead = [step for step in adj[v] if step[0] != parent[v]]
                 if not ahead:
                     break
-                prev, (v, k) = v, ahead[0]
+                (v, k), = ahead
             sides.append((v, tuple(entries), det))
         while len(sides) < 2:
-            sides.append((self.c_vertex, (), 1))
+            sides.append((root, (), 1))
         (_, left, d_left), (_, right, d_right) = sorted(sides)
         return (left, right) if d_left >= d_right else (right, left)
 
@@ -804,12 +784,7 @@ def resolution_graph(seq: HNSequence) -> MarkedResolution:
     The cost is O(#Euclidean quotients) integer operations, whatever the
     size of the quotients; `MarkedResolution.tree` expands the runs.
     """
-    if seq.flavor == STANDARD:
-        require_valid(seq)
-        std = seq
-    else:
-        std = standardize(seq)
-    return _resolve(std)
+    return _resolve(standard_form(seq))
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,14 @@ def standardize(seq: HNSequence) -> HNSequence:
     return out
 
 
+def standard_form(seq: HNSequence) -> HNSequence:
+    """The standard form: checked as is when declared standard, else standardized."""
+    if seq.flavor == STANDARD:
+        require_valid(seq)
+        return seq
+    return standardize(seq)
+
+
 def expand_low_p(seq: HNSequence) -> HNSequence:
     """Replace every pair with p > c by its ``(c/c)``-block expansion.
 

@@ -21,6 +21,7 @@ from .hn import (
     STANDARD,
     format_hn,
     require_valid,
+    standard_form,
     standardize,
     validate,
 )
@@ -500,11 +501,7 @@ def compute_M_I(seq: HNSequence) -> tuple[int, int]:
     Raw input is standardized first; both quantities are rewrite-invariant,
     the standard form is just the deterministic choice.
     """
-    if seq.flavor == STANDARD:
-        require_valid(seq)
-        std = seq
-    else:
-        std = standardize(seq)
+    std = standard_form(seq)
     m = std.pairs[0].c + sum(p.p for p in std.pairs) - 1
     i = sum(p.c * p.p for p in std.pairs)
     return m, i

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import strategies as st
 
-from cuspforge.divisor import Chain, WeightedTree, _subtree_determinants, discriminant
+from cuspforge.divisor import Chain, WeightedTree, blow_up, discriminant, is_negative_definite
+from cuspforge.errors import NotAFiber
 from cuspforge.hn import HNPair, HNSequence, RAW, STANDARD
 from cuspforge.invariants import FULL, MultiplicitySequence
 
@@ -151,6 +152,64 @@ def sylvester_definite_oracle(tree: WeightedTree) -> bool:
     return True
 
 
+def random_fiber(rng: random.Random, steps: int) -> WeightedTree:
+    """A reduced P1-fiber: a 0-curve blown up `steps` times at random sites."""
+    tree = Chain((0,)).to_tree()
+    for _ in range(steps):
+        if tree.edges and rng.random() < 0.5:
+            site = rng.choice(list(tree.edges))
+        else:
+            site = rng.randrange(len(tree.weights))
+        tree = blow_up(tree, site)
+    return tree
+
+
+def gauss_jordan_kernel(tree: WeightedTree) -> tuple[int, ...]:
+    """Primitive positive kernel vector by Fraction Gauss-Jordan elimination.
+
+    Raises ``NotAFiber`` when the kernel is not one-dimensional or its
+    vector has entries of mixed sign.
+    """
+    n = len(tree.weights)
+    if n == 0:
+        raise NotAFiber("empty divisor")
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, w in enumerate(tree.weights):
+        m[i][i] = Fraction(w)
+    for a, b in tree.edges:
+        m[a][b] = m[b][a] = Fraction(1)
+
+    pivot_cols: list[int] = []
+    row = 0
+    for col in range(n):
+        sel = next((r for r in range(row, n) if m[r][col] != 0), None)
+        if sel is None:
+            continue
+        m[row], m[sel] = m[sel], m[row]
+        inv = m[row][col]
+        m[row] = [x / inv for x in m[row]]
+        for r in range(n):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        pivot_cols.append(col)
+        row += 1
+    if n - row != 1:
+        raise NotAFiber(f"kernel dimension {n - row} != 1")
+    free = next(c for c in range(n) if c not in pivot_cols)
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for r, col in enumerate(pivot_cols):
+        x[col] = -m[r][free]
+    scale = lcm(*(xi.denominator for xi in x))
+    v = [int(xi * scale) for xi in x]
+    g = gcd(*v)
+    v = [vi // g for vi in v]
+    if any(vi <= 0 for vi in v):
+        raise NotAFiber(f"kernel vector {tuple(v)} is not positive")
+    return tuple(v)
+
+
 def simulate_resolution(pairs: tuple[HNPair, ...]):
     """Run the blowup process of a chain-consistent HN pair list, one blowup a step.
 
@@ -207,13 +266,12 @@ def resolution_invariants_oracle(tree: WeightedTree, c_vertex: int):
     marked curve, branching vertices, discriminant, negative definiteness.
     """
     adj = tree.adjacency()
-    dets = _subtree_determinants(tree)
     return (
         sum(1 for w in tree.weights if w == -1),
         len(adj[c_vertex]),
         sum(1 for nb in adj.values() if len(nb) >= 3),
-        dets[-1],
-        all(d > 0 for d in dets),
+        discriminant(tree),
+        is_negative_definite(tree),
     )
 
 

@@ -16,7 +16,6 @@ from cuspforge.divisor import (
     Chain,
     WeightedTree,
     adjoint,
-    blow_up,
     classify_fiber,
     contracts_to_zero_curve,
     discriminant,
@@ -48,7 +47,12 @@ from cuspforge.verify import (
 
 import pytest
 
-from support import random_standard_hn, semigroup_membership_oracle, stress_standard_hn
+from support import (
+    random_fiber,
+    random_standard_hn,
+    semigroup_membership_oracle,
+    stress_standard_hn,
+)
 
 log = logging.getLogger("cuspforge.acceptance")
 
@@ -240,17 +244,6 @@ def test_criterion_05_chain_calculus():
                 star_concat(x, star_concat(y, z))
 
 
-def _random_fiber(rng, steps):
-    tree = Chain((0,)).to_tree()
-    for _ in range(steps):
-        if tree.edges and rng.random() < 0.5:
-            site = rng.choice(list(tree.edges))
-        else:
-            site = rng.randrange(len(tree.weights))
-        tree = blow_up(tree, site)
-    return tree
-
-
 def test_criterion_06_fiber_calculus():
     with criterion(6, "fiber multiplicities, the minimal special fork, and "
                       "(-1)-vertices of multiplicity 1"):
@@ -262,7 +255,7 @@ def test_criterion_06_fiber_calculus():
         assert report.multiplicities[3] == 2
         assert report.minus_one_vertices == (3,)
         rng = random.Random(0xACC6)
-        corpus = [_random_fiber(rng, rng.randrange(0, 10)) for _ in range(250)]
+        corpus = [random_fiber(rng, rng.randrange(0, 10)) for _ in range(250)]
         corpus += [Chain((2, 1, 2)).to_tree(), Chain((2, 2, 1, 3)).to_tree(),
                    fork]
         seen_minus_one_mu1 = 0

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import pickle
 import random
@@ -32,7 +33,7 @@ from cuspforge.divisor import (
     resolution_graph,
     star_concat,
 )
-from cuspforge.divisor import _subtree_determinants
+from cuspforge.divisor import _tree_determinants
 from cuspforge.errors import (
     EntryBelowTwo,
     NotAFiber,
@@ -45,8 +46,10 @@ from support import (
     bareiss_det,
     chain_oracle,
     chains,
+    gauss_jordan_kernel,
     induced_discriminant,
     negated_matrix,
+    random_fiber,
     random_standard_hn,
     random_tree,
     resolution_corpus_hn,
@@ -218,7 +221,7 @@ class TestNegativeDefinite:
         WeightedTree((-2, -2, 0), ((0, 1), (1, 2))),
     ])
     def test_zero_subtree_determinant(self, tree):
-        assert 0 in _subtree_determinants(tree)
+        assert 0 in _tree_determinants(tree)[2]
         assert discriminant(tree) == bareiss_det(negated_matrix(tree))
         assert not is_negative_definite(tree)
         assert not sylvester_definite_oracle(tree)
@@ -378,7 +381,8 @@ class TestFibers:
         ((1, 2, 2, 2, 2, 1), (1, 1, 1, 1, 1, 1)),
     ])
     def test_multiplicity_fixtures(self, entries, mu):
-        assert fiber_multiplicities(Chain(entries).to_tree()) == mu
+        t = Chain(entries).to_tree()
+        assert fiber_multiplicities(t) == mu == gauss_jordan_kernel(t)
 
     def test_minimal_fork_multiplicities(self):
         fork = WeightedTree((-2, -2, -2, -1), ((0, 1), (0, 2), (0, 3)))
@@ -392,15 +396,55 @@ class TestFibers:
         with pytest.raises(NotAFiber, match="not positive"):
             fiber_multiplicities(ch(0, 4, 0).to_tree())
 
-    def test_kernel_vector_annihilates(self, rng):
+    def test_kernel_vector_annihilates(self):
         # kernel property double-checked against plain matrix multiplication
-        for entries, _ in [((2, 1, 2), None), ((2, 2, 1, 3), None),
-                           ((3, 1, 2, 2), None)]:
-            t = Chain(entries).to_tree()
+        trees = [Chain(entries).to_tree() for entries in [(2, 1, 2), (2, 2, 1, 3), (3, 1, 2, 2)]]
+        trees.append(WeightedTree((-2, -2, -2, -1), ((0, 1), (0, 2), (0, 3))))
+        fiber_rng = random.Random(0xF1B)
+        trees += [random_fiber(fiber_rng, steps) for steps in range(1, 40)]
+        for t in trees:
             mu = fiber_multiplicities(t)
-            m = [[-x for x in row] for row in negated_matrix(t)]
-            for row in m:
+            for row in negated_matrix(t):
                 assert sum(a * b for a, b in zip(row, mu)) == 0
+
+    @given(st.integers(0, 2**48 - 1), st.integers(0, 12))
+    def test_blown_up_fibers_match_oracle(self, seed, steps):
+        t = random_fiber(random.Random(seed), steps)
+        assert fiber_multiplicities(t) == gauss_jordan_kernel(t)
+
+    @given(weighted_trees(wlow=-4, whigh=1))
+    def test_matches_gauss_jordan_oracle(self, t):
+        try:
+            want = gauss_jordan_kernel(t)
+        except NotAFiber:
+            with pytest.raises(NotAFiber):
+                fiber_multiplicities(t)
+        else:
+            assert fiber_multiplicities(t) == want
+
+    @pytest.mark.parametrize("tree,match", [
+        (WeightedTree((-1,), ()), "kernel"),
+        (WeightedTree((3,), ()), "kernel"),
+        # root value 0, but the subtree at the far tip is singular
+        (ch(0, 4, 0).to_tree(), "not positive"),
+        # a two-dimensional kernel
+        (WeightedTree((0, 0, 0, 0), ((0, 1), (0, 2), (0, 3))), "not positive"),
+    ])
+    def test_fixed_non_fibers(self, tree, match):
+        with pytest.raises(NotAFiber):
+            gauss_jordan_kernel(tree)
+        with pytest.raises(NotAFiber, match=match):
+            fiber_multiplicities(tree)
+
+    def test_large_blown_up_fiber(self):
+        # the elimination oracle takes seconds here; check the kernel directly
+        t = random_fiber(random.Random(300), 300)
+        start = time.process_time()
+        mu = fiber_multiplicities(t)
+        assert time.process_time() - start < 0.5
+        assert min(mu) > 0 and math.gcd(*mu) == 1
+        for row in negated_matrix(t):
+            assert sum(a * b for a, b in zip(row, mu)) == 0
 
     def test_classification_fixtures(self):
         assert classify_fiber(ch(0).to_tree()).shape == NONDEGENERATE

@@ -19,8 +19,8 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_runtime_imports_only_the_standard_library():
-    found = []
+def _absolute_imports():
+    """(file name, line, module) of every absolute import in the package."""
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -30,6 +30,17 @@ def test_runtime_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.partition(".")[0] not in sys.stdlib_module_names]
+            yield from ((path.name, node.lineno, name) for name in names)
+
+
+def test_runtime_imports_only_the_standard_library():
+    found = [f"{file}:{line} {name}" for file, line, name in _absolute_imports()
+             if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_no_fractions_import():
+    # every quantity is computed in exact integers; Fraction routes are test oracles
+    found = [f"{file}:{line}" for file, line, name in _absolute_imports()
+             if name == "fractions"]
     assert found == []
