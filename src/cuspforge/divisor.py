@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from math import gcd
 from typing import NamedTuple, Union
 
@@ -239,10 +240,9 @@ class Chain:
         return Chain(tuple(reversed(self.entries)))
 
     def to_tree(self) -> WeightedTree:
-        n = len(self.entries)
-        return WeightedTree(
+        return WeightedTree._trusted(
             tuple(-a for a in self.entries),
-            tuple((i, i + 1) for i in range(n - 1)),
+            tuple((i, i + 1) for i in range(len(self.entries) - 1)),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -361,10 +361,12 @@ def adjoint(a: Chain) -> Chain:
     for e in a.entries:
         if e < 2:
             raise EntryBelowTwo(f"entry {e} < 2 has no adjoint")
-    out = Chain((2,) * (a.entries[-1] - 1))
+    # the star product of the chains [2]*(e-1), read from the far end
+    out = [2] * (a.entries[-1] - 1)
     for e in reversed(a.entries[:-1]):
-        out = star_concat(out, Chain((2,) * (e - 1)))
-    return out
+        out[-1] += 1
+        out += [2] * (e - 2)
+    return Chain(tuple(out))
 
 
 def blow_up(t: WeightedTree, site) -> WeightedTree:
@@ -374,25 +376,22 @@ def blow_up(t: WeightedTree, site) -> WeightedTree:
     the two edges through the new vertex and both endpoints drop by one.
     Either way the discriminant of the tree is unchanged.
     """
-    n = len(t.weights)
-    new = n
+    new = len(t.weights)
+    weights = [*t.weights, -1]
     if isinstance(site, int):
-        if not 0 <= site < n:
+        if not 0 <= site < new:
             raise ValueError(f"no vertex {site}")
-        weights = list(t.weights)
         weights[site] -= 1
-        weights.append(-1)
-        return WeightedTree(tuple(weights), t.edges + ((site, new),))
-    a, b = site
-    e = (a, b) if a < b else (b, a)
-    if e not in t.edges:
-        raise ValueError(f"no edge {e}")
-    weights = list(t.weights)
-    weights[e[0]] -= 1
-    weights[e[1]] -= 1
-    weights.append(-1)
-    edges = tuple(x for x in t.edges if x != e) + ((e[0], new), (e[1], new))
-    return WeightedTree(tuple(weights), edges)
+        edges = [*t.edges, (site, new)]
+    else:
+        a, b = site
+        e = (a, b) if a < b else (b, a)
+        if e not in t.edges:
+            raise ValueError(f"no edge {e}")
+        weights[a] -= 1
+        weights[b] -= 1
+        edges = [x for x in t.edges if x != e] + [(e[0], new), (e[1], new)]
+    return WeightedTree._trusted(tuple(weights), tuple(sorted(edges)))
 
 
 def blow_down(t: WeightedTree, v: int) -> WeightedTree:
@@ -410,39 +409,47 @@ def blow_down(t: WeightedTree, v: int) -> WeightedTree:
     if len(nbrs) == 2:
         edges.append((nbrs[0], nbrs[1]))
     remap = lambda x: x if x < v else x - 1
-    return WeightedTree(tuple(weights), tuple((remap(a), remap(b)) for a, b in edges))
+    return WeightedTree._trusted(
+        tuple(weights), tuple(sorted((remap(a), remap(b)) for a, b in edges)))
 
 
 def _contract_all(t: WeightedTree):
     """Blow down (-1)-vertices (smallest original id first) until stuck.
 
-    Returns the surviving weights and adjacency keyed by ORIGINAL ids plus
-    the contraction order.  The greedy order is harmless: a contractible
-    configuration stays contractible whichever eligible vertex goes first.
+    Returns the surviving weights keyed by ORIGINAL ids and the contraction
+    order.  The greedy order is harmless: a contractible configuration stays
+    contractible whichever eligible vertex goes first.  A blowdown raises
+    its neighbours' weights and raises no degree, so only its neighbours
+    can become eligible, and a vertex that stops being eligible does so for
+    good: a heap of eligible ids, skipping the entries gone stale, yields
+    the smallest one each time.
     """
     weights = dict(enumerate(t.weights))
     adj: dict[int, set[int]] = {v: set() for v in weights}
     for a, b in t.edges:
         adj[a].add(b)
         adj[b].add(a)
+    eligible = lambda x: weights[x] == -1 and len(adj[x]) <= 2
+    heap = [x for x in weights if eligible(x)]
     trace: list[int] = []
-    while len(weights) > 1:
-        v = min(
-            (x for x in weights if weights[x] == -1 and len(adj[x]) <= 2),
-            default=None,
-        )
-        if v is None:
-            break
-        nbrs = sorted(adj[v])
+    while len(weights) > 1 and heap:
+        v = heappop(heap)
+        if not eligible(v):
+            continue
+        nbrs = adj.pop(v)
+        del weights[v]
         for u in nbrs:
             weights[u] += 1
             adj[u].discard(v)
         if len(nbrs) == 2:
-            adj[nbrs[0]].add(nbrs[1])
-            adj[nbrs[1]].add(nbrs[0])
-        del weights[v], adj[v]
+            a, b = nbrs
+            adj[a].add(b)
+            adj[b].add(a)
+        for u in nbrs:
+            if eligible(u):
+                heappush(heap, u)
         trace.append(v)
-    return weights, adj, trace
+    return weights, trace
 
 
 @dataclass(frozen=True)
@@ -461,7 +468,7 @@ def contracts_to_smooth_point(t: Divisor) -> ContractionResult:
     tree = _as_tree(t)
     if not tree.weights:
         return ContractionResult(False, ())
-    weights, _, trace = _contract_all(tree)
+    weights, trace = _contract_all(tree)
     ok = len(weights) == 1 and next(iter(weights.values())) == -1
     return ContractionResult(ok, tuple(trace))
 
@@ -471,7 +478,7 @@ def contracts_to_zero_curve(t: Divisor) -> bool:
     tree = _as_tree(t)
     if not tree.weights:
         return False
-    weights, _, _ = _contract_all(tree)
+    weights, _ = _contract_all(tree)
     return len(weights) == 1 and next(iter(weights.values())) == 0
 
 
@@ -513,18 +520,14 @@ class FiberReport:
     minus_one_vertices: tuple[int, ...]
 
 
-def _path_order(tree: WeightedTree, adj: dict[int, tuple[int, ...]]) -> list[int]:
-    n = len(tree.weights)
-    if n == 1:
-        return [0]
-    start = min(v for v in range(n) if len(adj[v]) == 1)
-    order = [start]
-    prev, cur = -1, start
-    while len(order) < n:
-        nxt = next(u for u in adj[cur] if u != prev)
-        prev, cur = cur, nxt
-        order.append(cur)
-    return order
+def _walk(adj: dict[int, tuple[int, ...]], v: int, prev: int) -> list[int]:
+    """The path from v away from prev, up to the first vertex not of degree 2."""
+    path = [v]
+    while len(adj[v]) == 2:
+        a, b = adj[v]
+        prev, v = v, b if a == prev else a
+        path.append(v)
+    return path
 
 
 def classify_fiber(t: Divisor) -> FiberReport:
@@ -550,12 +553,13 @@ def classify_fiber(t: Divisor) -> FiberReport:
 
     if max(degrees) <= 2:
         if len(minus_ones) == 1:
-            order = _path_order(tree, adj)
-            pos = order.index(minus_ones[0])
-            before = tuple(-tree.weights[v] for v in order[:pos])
-            after = tuple(-tree.weights[v] for v in order[pos + 1:])
-            if not before or not after:
+            m = minus_ones[0]
+            if len(adj[m]) < 2:
                 raise NotAFiber("unique (-1)-curve sits at a tip of the chain")
+            # U is read toward the (-1)-curve from the tip with the smaller id
+            first, second = sorted((_walk(adj, u, m) for u in adj[m]), key=lambda w: w[-1])
+            before = tuple(-tree.weights[v] for v in reversed(first))
+            after = tuple(-tree.weights[v] for v in second)
             try:
                 star = adjoint(Chain(before))
             except EntryBelowTwo as exc:
@@ -570,15 +574,7 @@ def classify_fiber(t: Divisor) -> FiberReport:
 
     if max(degrees) == 3 and degrees.count(3) == 1:
         center = degrees.index(3)
-        twigs = []
-        for nb in adj[center]:
-            twig = [nb]
-            prev, cur = center, nb
-            while len(adj[cur]) == 2:
-                nxt = next(u for u in adj[cur] if u != prev)
-                prev, cur = cur, nxt
-                twig.append(cur)
-            twigs.append(twig)
+        twigs = [_walk(adj, nb, center) for nb in adj[center]]
         simple = [
             tw for tw in twigs
             if len(tw) == 1 and tree.weights[tw[0]] == -2 and mu[tw[0]] == 1

@@ -227,8 +227,7 @@ def generate(spec: FamilySpec) -> CurveRecord:
     """Emit the raw printed cusps plus their standard forms for one instance."""
     check_domain(spec)
     raw_cusps, degree, gamma = _build(spec)
-    cusps = tuple((raw, standardize(raw)) for raw in raw_cusps)
-    return CurveRecord(degree=degree, gamma=gamma, cusps=cusps, family=spec)
+    return CurveRecord.from_cusps(degree, gamma, raw_cusps, family=spec)
 
 
 def enumerate_curves(max_degree: int) -> list[CurveRecord]:

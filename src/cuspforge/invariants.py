@@ -447,26 +447,8 @@ def hn_from_zariski(pairs: PairList) -> HNSequence:
 
 
 def char_to_multiplicity(char: PuiseuxCharacteristic) -> MultiplicitySequence:
-    """Nested Euclidean scheme on the consecutive differences of the beta_i.
-
-    Stage i runs the Euclidean algorithm on (beta_i - beta_{i-1}) against the
-    divisor carried out of stage i-1 (initially beta0); agrees with the
-    multiplicity sequence computed through the standard HN form.
-    """
-    beta = char.beta
-    runs: list[tuple[int, int]] = [(beta[0], 1)]
-    carry = beta[0]
-    for i in range(1, len(beta)):
-        a, b = beta[i] - beta[i - 1], carry
-        while True:
-            s, r = divmod(a, b)
-            if s:
-                runs.append((b, s))
-            if r == 0:
-                carry = b
-                break
-            a, b = b, r
-    return MultiplicitySequence.from_runs(runs, FULL)
+    """The full multiplicity sequence, through the standard HN form."""
+    return hn_to_multiplicity(puiseux_char_to_standard_hn(char), FULL)
 
 
 def semigroup_of(char: PuiseuxCharacteristic) -> Semigroup:

@@ -8,10 +8,20 @@ from math import gcd, lcm
 
 from hypothesis import strategies as st
 
-from cuspforge.divisor import Chain, WeightedTree, blow_up, discriminant, is_negative_definite
-from cuspforge.errors import NotAFiber
+from cuspforge.divisor import (
+    CHAIN,
+    Chain,
+    FiberReport,
+    WeightedTree,
+    blow_up,
+    discriminant,
+    fiber_multiplicities,
+    is_negative_definite,
+    star_concat,
+)
+from cuspforge.errors import EntryBelowTwo, NotAFiber
 from cuspforge.hn import HNPair, HNSequence, RAW, STANDARD
-from cuspforge.invariants import FULL, MultiplicitySequence
+from cuspforge.invariants import FULL, MultiplicitySequence, PuiseuxCharacteristic
 
 
 def random_standard_hn(rng: random.Random, max_h: int = 4, cap: int = 10_000) -> HNSequence:
@@ -275,24 +285,120 @@ def resolution_invariants_oracle(tree: WeightedTree, c_vertex: int):
     )
 
 
-def chain_oracle(tree: WeightedTree, v: int) -> tuple[int, ...]:
-    """Entries of a chain tree with vertex v as 1, heavier side after it.
-
-    The path is read from its tip with the smaller id; the side of v with
-    the larger continuant goes last, and on a tie the side toward that tip.
-    """
+def path_order(tree: WeightedTree) -> list[int]:
+    """The vertices of a chain tree, read from its tip with the smaller id."""
     adj = tree.adjacency()
     start = min(u for u in adj if len(adj[u]) <= 1)
     order, prev = [start], -1
     while len(order) < len(adj):
         order.append(next(u for u in adj[order[-1]] if u != prev))
         prev = order[-2]
+    return order
+
+
+def chain_oracle(tree: WeightedTree, v: int) -> tuple[int, ...]:
+    """Entries of a chain tree with vertex v as 1, heavier side after it.
+
+    The path is read from its tip with the smaller id; the side of v with
+    the larger continuant goes last, and on a tie the side toward that tip.
+    """
+    order = path_order(tree)
     pos = order.index(v)
     left = tuple(-tree.weights[u] for u in reversed(order[:pos]))
     right = tuple(-tree.weights[u] for u in order[pos + 1:])
     if discriminant(Chain(left)) >= discriminant(Chain(right)):
         return right[::-1] + (1,) + left
     return left[::-1] + (1,) + right
+
+
+def adjoint_fold_oracle(a: Chain) -> Chain:
+    """The adjoint as the star product of the chains [2]*(e-1), folded from the far end."""
+    if not a.entries:
+        raise ValueError("adjoint of the empty chain is undefined")
+    for e in a.entries:
+        if e < 2:
+            raise EntryBelowTwo(f"entry {e} < 2 has no adjoint")
+    out = Chain((2,) * (a.entries[-1] - 1))
+    for e in reversed(a.entries[:-1]):
+        out = star_concat(out, Chain((2,) * (e - 1)))
+    return out
+
+
+def chain_fiber_oracle(tree: WeightedTree) -> FiberReport:
+    """`classify_fiber` on a chain of at least two vertices, read as one path.
+
+    The path runs from its tip with the smaller id; with a unique
+    (-1)-curve, the entries before it are U and those after it must be the
+    fold adjoint of U.
+    """
+    mu = fiber_multiplicities(tree)
+    minus_ones = tuple(v for v, w in enumerate(tree.weights) if w == -1)
+    if len(minus_ones) == 1:
+        order = path_order(tree)
+        pos = order.index(minus_ones[0])
+        before = tuple(-tree.weights[v] for v in order[:pos])
+        after = tuple(-tree.weights[v] for v in order[pos + 1:])
+        if not before or not after:
+            raise NotAFiber("unique (-1)-curve sits at a tip of the chain")
+        try:
+            star = adjoint_fold_oracle(Chain(before))
+        except EntryBelowTwo as exc:
+            raise NotAFiber(f"chain fiber is not [U,1,U*]: {exc}") from exc
+        if star.entries != after:
+            raise NotAFiber(
+                f"chain fiber is not [U,1,U*]: adjoint of {before} is "
+                f"{star.entries}, found {after}")
+    return FiberReport(CHAIN, mu, minus_ones)
+
+
+def contraction_order_oracle(tree: WeightedTree):
+    """Blowdowns by a full min-scan for the smallest eligible (-1)-vertex.
+
+    Returns the surviving weights keyed by original ids and the order.
+    """
+    weights = dict(enumerate(tree.weights))
+    adj: dict[int, set[int]] = {v: set() for v in weights}
+    for a, b in tree.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    trace: list[int] = []
+    while len(weights) > 1:
+        v = min((x for x in weights if weights[x] == -1 and len(adj[x]) <= 2),
+                default=None)
+        if v is None:
+            break
+        nbrs = sorted(adj[v])
+        for u in nbrs:
+            weights[u] += 1
+            adj[u].discard(v)
+        if len(nbrs) == 2:
+            adj[nbrs[0]].add(nbrs[1])
+            adj[nbrs[1]].add(nbrs[0])
+        del weights[v], adj[v]
+        trace.append(v)
+    return weights, trace
+
+
+def char_to_multiplicity_oracle(char: PuiseuxCharacteristic) -> MultiplicitySequence:
+    """Nested Euclidean scheme on the consecutive differences of the beta_i.
+
+    Stage i runs the Euclidean algorithm on (beta_i - beta_{i-1}) against
+    the divisor carried out of stage i-1 (initially beta0).
+    """
+    beta = char.beta
+    runs: list[tuple[int, int]] = [(beta[0], 1)]
+    carry = beta[0]
+    for i in range(1, len(beta)):
+        a, b = beta[i] - beta[i - 1], carry
+        while True:
+            s, r = divmod(a, b)
+            if s:
+                runs.append((b, s))
+            if r == 0:
+                carry = b
+                break
+            a, b = b, r
+    return MultiplicitySequence.from_runs(runs, FULL)
 
 
 def semigroup_membership_oracle(generators):
@@ -383,6 +489,20 @@ def raw_hn_sequences(draw, max_h: int = 4) -> HNSequence:
                 m += 1
         pairs.append(HNPair(cvals[j], cvals[j + 1] * m))
     return HNSequence(tuple(pairs), RAW)
+
+
+@st.composite
+def puiseux_characteristics(draw, max_beta0: int = 40, max_step: int = 60) -> PuiseuxCharacteristic:
+    """Valid characteristics: each beta_i is chosen off the multiples of e_{i-1}."""
+    beta = [draw(st.integers(2, max_beta0))]
+    e = beta[0]
+    while e > 1:
+        b = beta[-1] + draw(st.integers(1, max_step))
+        if b % e == 0:
+            b += 1
+        beta.append(b)
+        e = gcd(e, b)
+    return PuiseuxCharacteristic(tuple(beta))
 
 
 def chains(min_size: int = 1, max_size: int = 8, low: int = 2, high: int = 6):

@@ -33,8 +33,9 @@ from cuspforge.divisor import (
     resolution_graph,
     star_concat,
 )
-from cuspforge.divisor import _tree_determinants
+from cuspforge.divisor import _contract_all, _tree_determinants
 from cuspforge.errors import (
+    CuspforgeError,
     EntryBelowTwo,
     NotAFiber,
     NotContractible,
@@ -43,9 +44,12 @@ from cuspforge.errors import (
 from cuspforge.hn import STANDARD, HNPair, format_hn, parse_hn, standardize
 from cuspforge.invariants import FULL, hn_to_multiplicity
 from support import (
+    adjoint_fold_oracle,
     bareiss_det,
+    chain_fiber_oracle,
     chain_oracle,
     chains,
+    contraction_order_oracle,
     gauss_jordan_kernel,
     induced_discriminant,
     negated_matrix,
@@ -63,6 +67,21 @@ from support import (
 
 def ch(*entries):
     return Chain(tuple(entries))
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except (ValueError, CuspforgeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_site(rng, t):
+    """A random vertex or, half the time when there is one, a random edge."""
+    if rng.random() < 0.5 or not t.edges:
+        return rng.randrange(len(t))
+    return t.edges[rng.randrange(len(t.edges))]
 
 
 class TestWeightedTree:
@@ -269,6 +288,21 @@ class TestStarAndAdjoint:
         assert discriminant(adjoint(a)) == discriminant(a)
         assert adjoint(a.reverse()) == adjoint(a).reverse()
 
+    @given(chains(min_size=0, max_size=10, low=0, high=9))
+    def test_adjoint_matches_fold_oracle(self, a):
+        got, want = outcome(adjoint, a), outcome(adjoint_fold_oracle, a)
+        assert got == want
+        if isinstance(got, Chain):
+            assert got.entries == want.entries
+
+    def test_long_adjoint_is_linear(self):
+        a = Chain(tuple(random.Random(3000).randint(2, 6) for _ in range(3000)))
+        start = time.process_time()
+        star = adjoint(a)
+        assert time.process_time() - start < 0.01
+        assert discriminant(star) == discriminant(a)
+        assert adjoint(star).entries == a.entries
+
 
 class TestBlowUpDown:
     def test_outer(self):
@@ -299,22 +333,27 @@ class TestBlowUpDown:
     def test_round_trip(self, rng):
         for _ in range(500):
             t = random_tree(rng, rng.randint(1, 9))
-            if rng.random() < 0.5 or not t.edges:
-                site = rng.randrange(len(t))
-            else:
-                site = t.edges[rng.randrange(len(t.edges))]
+            site = random_site(rng, t)
             up = blow_up(t, site)
             down = blow_down(up, len(t))  # the new vertex always gets the next id
             assert down.weights == t.weights
             assert down.edges == t.edges
 
+    def test_built_trees_are_normalized(self, rng):
+        # trees built without re-validation equal their validated rebuild
+        for _ in range(300):
+            t = random_tree(rng, rng.randint(1, 9), wlow=-3, whigh=1)
+            built = [blow_up(t, random_site(rng, t)), Chain(tuple(-w for w in t.weights)).to_tree()]
+            built += [blow_down(t, v) for v in range(len(t))
+                      if t.weights[v] == -1 and len(t.adjacency()[v]) <= 2]
+            for b in built:
+                rebuilt = WeightedTree(b.weights, b.edges)
+                assert (rebuilt.weights, rebuilt.edges) == (b.weights, b.edges)
+
     def test_discriminant_invariant(self, rng):
         for _ in range(500):
             t = random_tree(rng, rng.randint(1, 9))
-            if rng.random() < 0.5 or not t.edges:
-                site = rng.randrange(len(t))
-            else:
-                site = t.edges[rng.randrange(len(t.edges))]
+            site = random_site(rng, t)
             assert discriminant(blow_up(t, site)) == discriminant(t)
 
 
@@ -365,12 +404,24 @@ class TestContraction:
         for _ in range(120):
             t = WeightedTree((-1,), ())
             for _ in range(rng.randint(1, 7)):
-                if rng.random() < 0.5 or not t.edges:
-                    site = rng.randrange(len(t))
-                else:
-                    site = t.edges[rng.randrange(len(t.edges))]
+                site = random_site(rng, t)
                 t = blow_up(t, site)
             assert contracts_to_smooth_point(t)
+
+    @given(st.integers(0, 2**48 - 1), st.integers(0, 40))
+    def test_order_matches_min_scan_oracle(self, seed, steps):
+        rng = random.Random(seed)
+        for t in (random_fiber(rng, steps), random_tree(rng, rng.randint(1, 9), -3, 0)):
+            assert _contract_all(t) == contraction_order_oracle(t)
+
+    def test_large_fiber_contracts_fast(self):
+        t = random_fiber(random.Random(2000), 2000)
+        cpu = []
+        for _ in range(3):
+            start = time.process_time()
+            assert contracts_to_zero_curve(t)
+            cpu.append(time.process_time() - start)
+        assert min(cpu) < 0.01
 
 
 class TestFibers:
@@ -465,6 +516,26 @@ class TestFibers:
         bad = WeightedTree((-1, -2, -2, -2), ((0, 1), (0, 2), (0, 3)))
         with pytest.raises(NotAFiber):
             classify_fiber(bad)
+
+    @given(chains(max_size=6), st.integers(-1, 1), st.integers(0, 2**16),
+           st.randoms(use_true_random=False))
+    def test_relabelled_chain_fibers_match_oracle(self, u, delta, pos, rnd):
+        # [U,1,U*], one entry moved by delta, vertices renumbered at random
+        entries = list(u.entries + (1,) + adjoint_fold_oracle(u).entries)
+        entries[pos % len(entries)] += delta
+        perm = list(range(len(entries)))
+        rnd.shuffle(perm)
+        weights = [0] * len(entries)
+        for i, e in enumerate(entries):
+            weights[perm[i]] = -e
+        tree = WeightedTree(tuple(weights),
+                            tuple((perm[i], perm[i + 1]) for i in range(len(perm) - 1)))
+        got = outcome(classify_fiber, tree)
+        assert got == outcome(chain_fiber_oracle, tree)
+        if delta == 0:
+            mu = fiber_multiplicities(Chain(tuple(entries)).to_tree())
+            assert got.shape == CHAIN
+            assert got.multiplicities == tuple(mu[perm.index(v)] for v in range(len(perm)))
 
     def test_chain_fiber_needs_adjoint_sides(self):
         # [2,2,1,3] splits at the -1 into [2,2] and [3] = adjoint([2,2])

@@ -28,7 +28,13 @@ from cuspforge.invariants import (
     semigroup_of,
     zariski_from_hn,
 )
-from support import semigroup_membership_oracle, sieve_gaps_oracle, standard_hn_sequences
+from support import (
+    char_to_multiplicity_oracle,
+    puiseux_characteristics,
+    semigroup_membership_oracle,
+    sieve_gaps_oracle,
+    standard_hn_sequences,
+)
 
 
 def std(text):
@@ -236,6 +242,10 @@ class TestCharToMultiplicity:
     def test_agrees_with_hn_route(self, s):
         via_char = char_to_multiplicity(hn_to_puiseux_char(s))
         assert via_char == hn_to_multiplicity(s, FULL)
+
+    @given(puiseux_characteristics())
+    def test_matches_nested_euclid_oracle(self, char):
+        assert char_to_multiplicity(char) == char_to_multiplicity_oracle(char)
 
 
 class TestSemigroup:

@@ -44,3 +44,31 @@ def test_no_fractions_import():
     found = [f"{file}:{line}" for file, line, name in _absolute_imports()
              if name == "fractions"]
     assert found == []
+
+
+def test_every_private_name_is_used():
+    # a private module- or class-level name that nothing reads is a dead route
+    defined, used = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                defined += [(path.name, node.lineno, name) for name in names
+                            if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    found = [f"{file}:{line} {name}" for file, line, name in defined if name not in used]
+    assert found == []
