@@ -354,7 +354,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except (CuspforgeError, ValueError) as exc:
+    except (CuspforgeError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

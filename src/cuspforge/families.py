@@ -14,20 +14,20 @@ from .errors import ParamOutOfDomain
 from .hn import HNPair, HNSequence, RAW, standardize
 from .invariants import REDUCED, MultiplicitySequence
 
-FAMILY_IDS = ("FZ1", "A", "B", "C", "D", "E", "F", "G", "OR1", "OR2")
-
-_PARAM_NAMES = {
-    "FZ1": ("d", "k"),
-    "A": ("gamma", "p", "s"),
-    "B": ("gamma", "p", "s"),
-    "C": ("gamma", "p", "s"),
-    "D": ("gamma", "p", "s"),
-    "E": ("k",),
-    "F": ("k",),
-    "G": ("gamma",),
-    "OR1": ("k",),
-    "OR2": ("k",),
+# Parameter names and curve degree of each family, in canonical order.
+_FAMILIES = {
+    "FZ1": (("d", "k"), lambda d, k: d),
+    "A": (("gamma", "p", "s"), lambda g, p, s: (g + 1) * p * s + 1),
+    "B": (("gamma", "p", "s"), lambda g, p, s: (g + 1) * p * s - g),
+    "C": (("gamma", "p", "s"), lambda g, p, s: (g * s + s + 1) * p + 1),
+    "D": (("gamma", "p", "s"), lambda g, p, s: (g * s + s + 1) * p - g),
+    "E": (("k",), lambda k: 8 * k + 6),
+    "F": (("k",), lambda k: 8 * k + 2),
+    "G": (("gamma",), lambda g: 2 * g - 1),
+    "OR1": (("k",), lambda k: fibonacci(4 * k + 2)),
+    "OR2": (("k",), lambda k: 2 * fibonacci(4 * k + 2)),
 }
+FAMILY_IDS = tuple(_FAMILIES)
 
 
 def fibonacci(n: int) -> int:
@@ -54,17 +54,17 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.id not in _PARAM_NAMES:
+        if self.id not in _FAMILIES:
             raise ValueError(f"unknown family {self.id!r}")
         params = tuple(int(v) for v in self.params)
         object.__setattr__(self, "params", params)
-        names = _PARAM_NAMES[self.id]
+        names, _ = _FAMILIES[self.id]
         if len(params) != len(names):
             raise ValueError(
                 f"{self.id} takes parameters {names}, got {len(params)} values")
 
     def named(self) -> dict[str, int]:
-        return dict(zip(_PARAM_NAMES[self.id], self.params))
+        return dict(zip(_FAMILIES[self.id][0], self.params))
 
     def __str__(self) -> str:
         return f"{self.id}({','.join(str(v) for v in self.params)})"
@@ -78,34 +78,39 @@ class FamilySpec:
 
 def check_domain(spec: FamilySpec) -> None:
     """Raise ParamOutOfDomain naming the violated inequality."""
-    pm = spec.named()
-    fid = spec.id
+    error = _domain_error(spec.id, spec.params)
+    if error is not None:
+        raise ParamOutOfDomain(error)
+
+
+def _domain_error(fid: str, params: tuple[int, ...]) -> str | None:
+    """The first violated inequality of the family's domain, or None inside it."""
     if fid == "FZ1":
-        d, k = pm["d"], pm["k"]
+        d, k = params
         lo = (d + 1) // 2 - 1
         if lo < 1:
-            raise ParamOutOfDomain(f"FZ1 requires ceil(d/2)-1 >= 1, got d = {d}")
+            return f"FZ1 requires ceil(d/2)-1 >= 1, got d = {d}"
         if k < lo:
-            raise ParamOutOfDomain(f"FZ1 requires k >= ceil(d/2)-1 = {lo}, got k = {k}")
+            return f"FZ1 requires k >= ceil(d/2)-1 = {lo}, got k = {k}"
         if k > d - 3:
-            raise ParamOutOfDomain(f"FZ1 requires k <= d-3 = {d - 3}, got k = {k}")
+            return f"FZ1 requires k <= d-3 = {d - 3}, got k = {k}"
     elif fid in ("A", "B", "C", "D"):
-        g, p, s = pm["gamma"], pm["p"], pm["s"]
+        g, p, s = params
         if g < 1:
-            raise ParamOutOfDomain(f"{fid} requires gamma >= 1, got gamma = {g}")
+            return f"{fid} requires gamma >= 1, got gamma = {g}"
         if p < 2:
-            raise ParamOutOfDomain(f"{fid} requires p >= 2, got p = {p}")
+            return f"{fid} requires p >= 2, got p = {p}"
         s_min = 2 if fid == "B" else 1
         if s < s_min:
-            raise ParamOutOfDomain(f"{fid} requires s >= {s_min}, got s = {s}")
+            return f"{fid} requires s >= {s_min}, got s = {s}"
         if fid in ("A", "B") and (g, p) == (1, 2):
-            raise ParamOutOfDomain(f"{fid} excludes (gamma,p) = (1,2)")
+            return f"{fid} excludes (gamma,p) = (1,2)"
     elif fid == "G":
-        if pm["gamma"] < 3:
-            raise ParamOutOfDomain(f"G requires gamma >= 3, got gamma = {pm['gamma']}")
-    else:
-        if pm["k"] < 1:
-            raise ParamOutOfDomain(f"{fid} requires k >= 1, got k = {pm['k']}")
+        if params[0] < 3:
+            return f"G requires gamma >= 3, got gamma = {params[0]}"
+    elif params[0] < 1:
+        return f"{fid} requires k >= 1, got k = {params[0]}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ def _raw(*pairs: tuple[int, int]) -> HNSequence:
 
 
 def _build(spec: FamilySpec):
-    """Raw cusp list, degree, and gamma from the printed formulas."""
+    """Raw cusp list and gamma from the printed formulas."""
     fid = spec.id
     if fid == "FZ1":
         d, k = spec.params
@@ -167,156 +172,107 @@ def _build(spec: FamilySpec):
             _raw((d - 1, d - 2)),
             _raw((2 * (d - 2 - k) + 1, 2)),
         ]
-        return cusps, d, d - 2
+        return cusps, d - 2
     if fid == "A":
         g, p, s = spec.params
         cusps = [
             _raw((p * s * (g + 1), p * s * g), (p * s, p), (p, 1)),
             _raw((g * (p * s + 1) + p * (s - 1) + 1, p * s + 1)),
         ]
-        return cusps, (g + 1) * p * s + 1, g
+        return cusps, g
     if fid == "B":
         g, p, s = spec.params
         cusps = [
             _raw(((p * s - 1) * (g + 1), (p * s - 1) * g), (p * s - 1, p)),
             _raw((p * (g * s + s - 1), p * s), (p, 1)),
         ]
-        return cusps, (g + 1) * p * s - g, g
+        return cusps, g
     if fid == "C":
         g, p, s = spec.params
         cusps = [
             _raw((p * (g * s + s + 1), p * (g * s + 1)), (p, 1)),
             _raw(((g + 1) * (p * s + 1) + p, p * s + 1)),
         ]
-        return cusps, (g * s + s + 1) * p + 1, g
+        return cusps, g
     if fid == "D":
         g, p, s = spec.params
         cusps = [
             _raw(((g + 1) * (p * s - 1) + p, g * (p * s - 1) + p)),
             _raw((p * (g * s + s + 1), p * s), (p, 1)),
         ]
-        return cusps, (g * s + s + 1) * p - g, g
+        return cusps, g
     if fid == "E":
         (k,) = spec.params
         cusps = [
             _raw((8 * k + 8, 4 * k + 2), (2, 1)),
             _raw((8 * k + 4, 4 * k + 4), (4, 1)),
         ]
-        return cusps, 8 * k + 6, 2
+        return cusps, 2
     if fid == "F":
         (k,) = spec.params
         cusps = [
             _raw((8 * k, 4 * k + 2), (2, 1)),
             _raw((8 * k + 4, 4 * k), (4, 1)),
         ]
-        return cusps, 8 * k + 2, 2
+        return cusps, 2
     if fid == "G":
         (g,) = spec.params
         cusps = [_raw((4 * g - 3, g - 1)), _raw((2 * g - 1, 2))]
-        return cusps, 2 * g - 1, g
+        return cusps, g
     if fid == "OR1":
         (k,) = spec.params
         cusps = [_raw((fibonacci(4 * k + 4), fibonacci(4 * k)), (3, 1))]
-        return cusps, fibonacci(4 * k + 2), 2
+        return cusps, 2
     (k,) = spec.params
     cusps = [_raw((2 * fibonacci(4 * k + 4), 2 * fibonacci(4 * k)), (6, 1))]
-    return cusps, 2 * fibonacci(4 * k + 2), 2
+    return cusps, 2
 
 
 def generate(spec: FamilySpec) -> CurveRecord:
     """Emit the raw printed cusps plus their standard forms for one instance."""
     check_domain(spec)
-    raw_cusps, degree, gamma = _build(spec)
-    return CurveRecord.from_cusps(degree, gamma, raw_cusps, family=spec)
+    raw_cusps, gamma = _build(spec)
+    _, degree = _FAMILIES[spec.id]
+    return CurveRecord.from_cusps(degree(*spec.params), gamma, raw_cusps, family=spec)
 
 
 def enumerate_curves(max_degree: int) -> list[CurveRecord]:
     """Every family instance of degree at most max_degree, exactly once.
 
     Order: family id (FZ1, A, B, C, D, E, F, G, OR1, OR2), then parameters
-    ascending lexicographically.  Degrees are monotone in every parameter,
-    so each sweep stops at the first overflow.
+    ascending lexicographically.  One sweep serves every family; it rests
+    on three facts about the degrees and domains, each checked by a test:
+
+    1. every admissible parameter is at least 1 and at most the degree, so
+       each parameter runs over 1..max_degree at most;
+    2. the degree never falls when a parameter rises, over all positive
+       tuples, so the degree with the later parameters at 1 bounds every
+       completion of a prefix from below and the sweep of a parameter
+       stops at the first overflow;
+    3. for fixed earlier parameters the admissible values of the last
+       parameter form one interval, so its sweep stops at the first value
+       refused after one admitted.
     """
-    out: list[CurveRecord] = []
-    if max_degree < 3:
-        return out
+    return [generate(FamilySpec(fid, params))
+            for fid in FAMILY_IDS for params in _sweep(fid, (), max_degree)]
 
-    for d in range(4, max_degree + 1):
-        for k in range((d + 1) // 2 - 1, d - 2):
-            out.append(generate(FamilySpec("FZ1", (d, k))))
 
-    g = 1
-    while (g + 1) * 2 + 1 <= max_degree:
-        p = 2
-        while (g + 1) * p + 1 <= max_degree:
-            if (g, p) != (1, 2):
-                s = 1
-                while (g + 1) * p * s + 1 <= max_degree:
-                    out.append(generate(FamilySpec("A", (g, p, s))))
-                    s += 1
-            p += 1
-        g += 1
-
-    g = 1
-    while 3 * g + 4 <= max_degree:
-        p = 2
-        while (g + 1) * p * 2 - g <= max_degree:
-            if (g, p) != (1, 2):
-                s = 2
-                while (g + 1) * p * s - g <= max_degree:
-                    out.append(generate(FamilySpec("B", (g, p, s))))
-                    s += 1
-            p += 1
-        g += 1
-
-    g = 1
-    while (g + 2) * 2 + 1 <= max_degree:
-        p = 2
-        while (g + 2) * p + 1 <= max_degree:
-            s = 1
-            while (g * s + s + 1) * p + 1 <= max_degree:
-                out.append(generate(FamilySpec("C", (g, p, s))))
-                s += 1
-            p += 1
-        g += 1
-
-    g = 1
-    while (g + 2) * 2 - g <= max_degree:
-        p = 2
-        while (g + 2) * p - g <= max_degree:
-            s = 1
-            while (g * s + s + 1) * p - g <= max_degree:
-                out.append(generate(FamilySpec("D", (g, p, s))))
-                s += 1
-            p += 1
-        g += 1
-
-    k = 1
-    while 8 * k + 6 <= max_degree:
-        out.append(generate(FamilySpec("E", (k,))))
-        k += 1
-
-    k = 1
-    while 8 * k + 2 <= max_degree:
-        out.append(generate(FamilySpec("F", (k,))))
-        k += 1
-
-    g = 3
-    while 2 * g - 1 <= max_degree:
-        out.append(generate(FamilySpec("G", (g,))))
-        g += 1
-
-    k = 1
-    while fibonacci(4 * k + 2) <= max_degree:
-        out.append(generate(FamilySpec("OR1", (k,))))
-        k += 1
-
-    k = 1
-    while 2 * fibonacci(4 * k + 2) <= max_degree:
-        out.append(generate(FamilySpec("OR2", (k,))))
-        k += 1
-
-    return out
+def _sweep(fid: str, prefix: tuple[int, ...], max_degree: int):
+    """Admissible parameter tuples extending prefix of degree <= max_degree, ascending."""
+    names, degree = _FAMILIES[fid]
+    rest = len(names) - len(prefix) - 1
+    admitted = False
+    for v in range(1, max_degree + 1):
+        params = prefix + (v,)
+        if degree(*params, *(1,) * rest) > max_degree:
+            return
+        if rest:
+            yield from _sweep(fid, params, max_degree)
+        elif _domain_error(fid, params) is None:
+            admitted = True
+            yield params
+        elif admitted:
+            return
 
 
 @dataclass(frozen=True)

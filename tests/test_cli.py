@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -336,6 +337,25 @@ class TestTopLevel:
         code, out, _ = invoke(capsys, "invariants", "--help")
         assert code == 0
         assert out.startswith("usage: cuspforge invariants")
+
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "q.dot"
+        code, out, err = invoke(capsys, "resolve", "--hn", "6/4,2/3",
+                                "--dot", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(target) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("invariants", "--hn", "99999999999999999999999/2"),
+        ("resolve", "--hn", "99999999999999999999999/2"),
+        ("verify", "--family", "G", str(10 ** 20)),
+    ])
+    def test_oversized_input_is_an_input_error(self, capsys, argv):
+        start = time.process_time()
+        code, _, err = invoke(capsys, *argv)
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_determinism(self, capsys):
         argv = ("family", "enumerate", "--max-degree", "15", "--json",

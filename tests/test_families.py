@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from cuspforge.errors import ParamOutOfDomain
 from cuspforge.families import (
+    _FAMILIES,
     FAMILY_IDS,
     CurveRecord,
     FamilySpec,
@@ -176,11 +179,11 @@ class TestEnumerate:
         assert keys == sorted(keys)
 
     def test_completeness_against_brute_force(self):
-        # no instance with degree <= 20 is missed by the monotone sweeps
-        found = {str(r.family) for r in enumerate_curves(20)}
-        for fid in FAMILY_IDS:
+        # the sweep lists exactly the in-domain grid instances within each
+        # bound, ordered by (family index, params)
+        brute = []
+        for index, fid in enumerate(FAMILY_IDS):
             arity = {"FZ1": 2, "A": 3, "B": 3, "C": 3, "D": 3}.get(fid, 1)
-            import itertools
             for params in itertools.product(range(0, 24), repeat=arity):
                 try:
                     s = FamilySpec(fid, params)
@@ -189,8 +192,53 @@ class TestEnumerate:
                     continue
                 if fid.startswith("OR") and params[0] > 4:
                     continue
-                rec = generate(s)
-                assert (rec.degree <= 20) == (str(s) in found), str(s)
+                brute.append((index, params, generate(s).degree, str(s)))
+        brute.sort()
+        for max_degree in (3, 4, 5, 12, 20):
+            want = [name for _, _, degree, name in brute if degree <= max_degree]
+            got = [str(r.family) for r in enumerate_curves(max_degree)]
+            assert got == want, max_degree
+
+
+def admissible(fid, params):
+    try:
+        check_domain(FamilySpec(fid, params))
+    except ParamOutOfDomain:
+        return False
+    return True
+
+
+# parameter values per arity for the grid checks of the sweep's three facts
+FACT_GRID = {1: range(-2, 40), 2: range(-2, 40), 3: range(-2, 14)}
+
+
+class TestSweepFacts:
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_admissible_parameters_between_one_and_degree(self, fid):
+        names, degree = _FAMILIES[fid]
+        for params in itertools.product(FACT_GRID[len(names)], repeat=len(names)):
+            if admissible(fid, params):
+                assert all(1 <= v <= degree(*params) for v in params), params
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_degree_never_falls_when_a_parameter_rises(self, fid):
+        # over every positive tuple: the sweep bounds a prefix's completions
+        # by the degree with the later parameters at 1, admissible or not
+        names, degree = _FAMILIES[fid]
+        positive = [v for v in FACT_GRID[len(names)] if v >= 1]
+        for params in itertools.product(positive, repeat=len(names)):
+            for i in range(len(params)):
+                raised = params[:i] + (params[i] + 1,) + params[i + 1:]
+                assert degree(*raised) >= degree(*params), (params, i)
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_last_parameter_admissible_on_one_interval(self, fid):
+        names, _ = _FAMILIES[fid]
+        grid = FACT_GRID[len(names)]
+        for prefix in itertools.product(grid, repeat=len(names) - 1):
+            admitted = [v for v in grid if admissible(fid, prefix + (v,))]
+            if admitted:
+                assert admitted == list(range(admitted[0], admitted[-1] + 1)), prefix
 
 
 class TestTableMultiplicities:
