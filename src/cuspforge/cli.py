@@ -13,6 +13,8 @@ import json
 import re
 import sys
 from functools import lru_cache
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .divisor import dot_export, resolution_graph
@@ -28,7 +30,6 @@ from .hn import format_hn, parse_hn, standardize
 from .invariants import (
     ZARISKI,
     PairList,
-    alexander_polynomial,
     cusp_record,
     hn_from_zariski,
     hn_to_multiplicity,
@@ -80,8 +81,35 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` for values whose dict keys are strings.
+
+    `pad` is the newline and indentation of `obj`'s own level.  A list of
+    strings is encoded in one C-level join, which raises TypeError at the
+    first item that is not a string; other containers recurse and scalars
+    go through the C encoder of ``json.dumps``.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        try:
+            body = ("," + inner).join(map(encode_basestring_ascii, obj))
+        except TypeError:
+            body = ("," + inner).join(map(_json_text, obj, repeat(inner)))
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in obj.items()) + pad + "}"
+    return json.dumps(obj)
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_json_text(obj))
 
 
 def _print_rows(rows: Sequence[tuple[str, str]]) -> None:
@@ -113,21 +141,22 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     else:
         std = multiplicity_to_standard_hn(parse_multiplicity(args.mult))
     record = cusp_record(std)
+    obj = record.to_json_obj()
     if args.json:
-        _print_json(record.to_json_obj())
+        _print_json(obj)
         return 0
-    sg = record.semigroup
+    # the text rows join the same decimal strings
     _print_rows([
         ("hn", format_hn(record.hn)),
-        ("mult", record.mult.reduced().to_text()),
+        ("mult", ",".join(obj["mult_reduced"])),
         ("char", record.char.to_text()),
         ("puiseux", record.puiseux.to_text()),
         ("zariski", record.zariski.to_text()),
-        ("semigroup", ",".join(str(g) for g in sg.generators)),
-        ("gaps", ",".join(str(g) for g in sorted(sg.gaps))),
-        ("alexander", ",".join(str(a) for a in alexander_polynomial(sg))),
-        ("M", str(record.M)),
-        ("I", str(record.I)),
+        ("semigroup", ",".join(obj["semigroup_generators"])),
+        ("gaps", ",".join(obj["gaps"])),
+        ("alexander", ",".join(obj["alexander_coeffs"])),
+        ("M", obj["M"]),
+        ("I", obj["I"]),
     ])
     return 0
 
@@ -171,10 +200,10 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     if args.json:
         obj = {
             "hn": std.to_json_obj(),
-            "weights": [str(w) for w in res.tree.weights],
+            "weights": list(map(str, res.tree.weights)),
             "edges": [[str(u), str(v)] for u, v in res.tree.edges],
             "curve_vertex": str(res.c_vertex),
-            "multiplicities": [str(m) for m in res.mult.entries()],
+            "multiplicities": list(map(str, res.mult.entries())),
             "chain": chain_text,
         }
         _print_json(obj)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from math import gcd
-from typing import Iterable
+from operator import sub
+from typing import Iterable, Iterator
 
 from .errors import Inconsistent, NotRealizable, NotStandard
 from .hn import (
@@ -73,6 +75,13 @@ class MultiplicitySequence:
             out.extend([v] * n)
         return tuple(out)
 
+    def _entry_texts(self) -> list[str]:
+        """The entries as decimal strings, one string object per run."""
+        out: list[str] = []
+        for v, n in self.runs:
+            out.extend([str(v)] * n)
+        return out
+
     def reduced(self) -> "MultiplicitySequence":
         if self.form == REDUCED:
             return self
@@ -93,7 +102,7 @@ class MultiplicitySequence:
         return sum(v * n for v, n in self.runs)
 
     def to_text(self) -> str:
-        return ",".join(str(e) for e in self.entries())
+        return ",".join(self._entry_texts())
 
     def __str__(self) -> str:
         return self.to_text()
@@ -224,8 +233,12 @@ class Semigroup:
     form n = a_0*b0 + sum of a_i*b_i with 0 <= a_i < n_i (i >= 1); n lies
     in the semigroup exactly when a_0 >= 0.
 
-    Conductor, membership and the gap count cost O(g) bigint operations.
-    The gap set is listed on first use, in O(b0 + conductor) steps.
+    Conductor, membership and the gap count cost O(g) bigint operations
+    and never build the membership table.  The gap set, the sorted gap
+    listing and the Alexander polynomial read that table: one byte
+    [k in S] for each 0 <= k <= conductor, built on first use from the
+    b0 Apery elements with one C-level slice assignment each, so it costs
+    conductor + 1 bytes and O(b0) Python steps.
     """
 
     generators: tuple[int, ...]
@@ -267,8 +280,8 @@ class Semigroup:
         return self.conductor // 2
 
     @cached_property
-    def gaps(self) -> frozenset[int]:
-        """Complement in the naturals, read off the Apery set of b0.
+    def _members(self) -> bytes:
+        """[k in S] for 0 <= k <= conductor, read off the Apery set of b0.
 
         The Apery set is the b0 normal-form sums with a_0 = 0; below each
         element w lie the gaps w - b0, w - 2*b0, ... down to w mod b0.
@@ -277,10 +290,27 @@ class Semigroup:
         apery = [0]
         for b, _, n, _ in self._levels:
             apery = [w + a * b for a in range(n) for w in apery]
-        return frozenset(k for w in apery for k in range(w % b0, w, b0))
+        table = bytearray(b"\x01") * (self.conductor + 1)
+        zeros = memoryview(bytes(self.conductor // b0 + 1))
+        for w in apery:
+            table[w % b0:w:b0] = zeros[:w // b0]
+        return bytes(table)
+
+    @cached_property
+    def gaps(self) -> frozenset[int]:
+        """Complement in the naturals."""
+        return frozenset(self._sorted_gaps())
+
+    def _sorted_gaps(self) -> Iterator[int]:
+        """The gaps in increasing order."""
+        return compress(range(self.conductor), self._members.translate(_NOT))
 
     def __contains__(self, n: int) -> bool:
         return _normal_remainder(n, self._levels) >= 0
+
+
+# maps the byte [k in S] to [k not in S]
+_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _normal_remainder(x: int, levels) -> int:
@@ -465,16 +495,14 @@ def semigroup_of(char: PuiseuxCharacteristic) -> Semigroup:
 
 
 def alexander_polynomial(sg: Semigroup) -> tuple[int, ...]:
-    """Coefficients of 1 + (t-1) * sum of t^k over the gaps k, low degree first.
+    """Coefficients of (1 - t) * (sum of t^k over the semigroup), cut at t^conductor.
 
-    The degree is the conductor: the largest gap is conductor - 1.
+    Low degree first: a_k = [k in S] - [k-1 in S], with -1 not in S, so
+    a_0 = 1 and every a_k is -1, 0 or 1.  This equals 1 + (t-1) * (sum of
+    t^k over the gaps); the degree is the conductor.
     """
-    coeffs = [0] * (sg.conductor + 1)
-    coeffs[0] = 1
-    for k in sg.gaps:
-        coeffs[k] -= 1
-        coeffs[k + 1] += 1
-    return tuple(coeffs)
+    members = sg._members
+    return tuple(map(sub, members, bytes(1) + members))
 
 
 def compute_M_I(seq: HNSequence) -> tuple[int, int]:
@@ -487,6 +515,10 @@ def compute_M_I(seq: HNSequence) -> tuple[int, int]:
     m = std.pairs[0].c + sum(p.p for p in std.pairs) - 1
     i = sum(p.c * p.p for p in std.pairs)
     return m, i
+
+
+# the three values an Alexander coefficient takes
+_COEFF_TEXT = {-1: "-1", 0: "0", 1: "1"}
 
 
 @dataclass(frozen=True)
@@ -506,13 +538,14 @@ class CuspRecord:
         """All integers as decimal strings; gaps sorted ascending."""
         return {
             "hn": self.hn.to_json_obj(),
-            "mult_reduced": [str(e) for e in self.mult.reduced().entries()],
-            "puiseux_char": [str(b) for b in self.char.beta],
+            "mult_reduced": self.mult.reduced()._entry_texts(),
+            "puiseux_char": list(map(str, self.char.beta)),
             "puiseux_pairs": [[str(m), str(n)] for m, n in self.puiseux.pairs],
             "zariski_pairs": [[str(b), str(a)] for b, a in self.zariski.pairs],
-            "semigroup_generators": [str(v) for v in self.semigroup.generators],
-            "gaps": [str(k) for k in sorted(self.semigroup.gaps)],
-            "alexander_coeffs": [str(c) for c in alexander_polynomial(self.semigroup)],
+            "semigroup_generators": list(map(str, self.semigroup.generators)),
+            "gaps": list(map(str, self.semigroup._sorted_gaps())),
+            "alexander_coeffs": list(map(
+                _COEFF_TEXT.__getitem__, alexander_polynomial(self.semigroup))),
             "M": str(self.M),
             "I": str(self.I),
         }

@@ -449,6 +449,31 @@ def sieve_gaps_oracle(generators) -> frozenset[int]:
         limit *= 2
 
 
+def apery_gaps_oracle(generators) -> frozenset[int]:
+    """Gap set of telescopic generators, read off the Apery set of b0.
+
+    The Apery set is the b0 normal-form sums with a_0 = 0; below each
+    element w lie the gaps w - b0, w - 2*b0, ... down to w mod b0.
+    """
+    b0 = generators[0]
+    apery, e = [0], b0
+    for b in generators[1:]:
+        n = e // gcd(e, b)
+        e //= n
+        apery = [w + a * b for a in range(n) for w in apery]
+    return frozenset(k for w in apery for k in range(w % b0, w, b0))
+
+
+def alexander_from_gaps_oracle(gaps, conductor: int) -> tuple[int, ...]:
+    """Coefficients of 1 + (t-1) * sum of t^k over the gaps, low degree first."""
+    coeffs = [0] * (conductor + 1)
+    coeffs[0] = 1
+    for k in gaps:
+        coeffs[k] -= 1
+        coeffs[k + 1] += 1
+    return tuple(coeffs)
+
+
 # ----------------------------------------------------- hypothesis strategies
 
 

@@ -4,8 +4,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cuspforge.cli import run
+from cuspforge.cli import _json_text, run
 
 INVARIANT_ROWS = """\
 hn         6/4,2/3
@@ -363,3 +365,46 @@ class TestTopLevel:
         first = invoke(capsys, *argv)
         second = invoke(capsys, *argv)
         assert first == second
+
+
+# strings that need escaping: quotes, backslashes, control characters, non-ASCII
+json_strings = st.text(st.sampled_from('a1 "\\/\n\t\x00\x1f\x7fé€\U0001f600'), max_size=6) | st.text()
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(-10**60, 10**60) | st.floats() | json_strings)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.lists(json_strings, max_size=5)
+                   | st.lists(json_strings | inner, max_size=5)
+                   | st.dictionaries(json_strings, inner, max_size=5)),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    @given(json_values)
+    def test_matches_indent_2_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, (), [[]], {"": {}}, ["a", 1], [1, "a"], ["a", ["b"]],
+        {"k": ["\"", "\\", "\x01", "\u00e9"]}, [True, None, -10**30],
+    ])
+    def test_fixtures(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("argv", [
+        ("invariants", "--hn", "10001/2", "--json"),
+        ("resolve", "--hn", "6/4,2/3", "--json"),
+        ("resolve", "--hn", "13/4", "--json"),
+        ("family", "gen", "G", "3", "--audit", "--json"),
+        ("family", "enumerate", "--max-degree", "12", "--audit", "--json"),
+        ("verify", "--degree", "7", "--gamma", "1", "--hn", "6/4,2/3",
+         "--hn", "7/3", "--json"),
+        ("ledger", "--h", "3", "--nu", "0", "--sigmas", "2,1,1",
+         "--chis", "0,0,0", "--json"),
+    ])
+    def test_every_json_command_prints_indent_2_dumps(self, capsys, argv):
+        _, out, err = invoke(capsys, *argv)
+        assert err == ""
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"

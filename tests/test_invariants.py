@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 
@@ -29,6 +31,8 @@ from cuspforge.invariants import (
     zariski_from_hn,
 )
 from support import (
+    alexander_from_gaps_oracle,
+    apery_gaps_oracle,
     char_to_multiplicity_oracle,
     puiseux_characteristics,
     semigroup_membership_oracle,
@@ -266,21 +270,51 @@ class TestSemigroup:
         assert 17 not in sg
         assert all(n in sg for n in range(18, 60))
 
+    @staticmethod
+    def assert_table_readings_match_oracles(sg):
+        # every reading of the membership table against both gap oracles
+        gaps = sieve_gaps_oracle(sg.generators)
+        assert apery_gaps_oracle(sg.generators) == gaps
+        conductor = max(gaps) + 1 if gaps else 0
+        assert sg.conductor == conductor
+        assert list(sg._sorted_gaps()) == sorted(gaps)
+        assert sg.gaps == gaps
+        assert isinstance(sg.gaps, frozenset)
+        assert sg.gap_count == len(gaps)
+        assert alexander_polynomial(sg) == alexander_from_gaps_oracle(gaps, conductor)
+
     @given(standard_hn_sequences(cap=200))
     def test_gaps_match_recursive_oracle(self, s):
         sg = semigroup_of(hn_to_puiseux_char(s))
-        gaps = sieve_gaps_oracle(sg.generators)
-        conductor = max(gaps) + 1 if gaps else 0
-        assert sg.conductor == conductor
+        self.assert_table_readings_match_oracles(sg)
         member = semigroup_membership_oracle(sg.generators)
         for n in range(-1, sg.conductor + sg.generators[0]):
             assert (n in sg) == member(n)
-        assert sg.gaps == gaps
         m, i = compute_M_I(s)
-        assert sg.gap_count == len(gaps) == (i - m) // 2
+        assert sg.gap_count == (i - m) // 2
         # Delta(t) = (1 - t) * (sum of t^n over the semigroup), cut at t^c
-        want = tuple(int(member(n)) - int(member(n - 1)) for n in range(conductor + 1))
+        want = tuple(int(member(n)) - int(member(n - 1)) for n in range(sg.conductor + 1))
         assert alexander_polynomial(sg) == want
+
+    @pytest.mark.parametrize("gens,conductor", [
+        ((1,), 0),
+        ((2, 3), 2),
+        ((2, 10001), 10000),  # the semigroup of 10001/2
+    ])
+    def test_table_fixtures(self, gens, conductor):
+        sg = Semigroup(gens)
+        assert sg.conductor == conductor
+        self.assert_table_readings_match_oracles(sg)
+        assert isinstance(sg._members, bytes) and len(sg._members) == conductor + 1
+
+    def test_scalar_readings_build_no_table(self):
+        # the hostile cusp stays in the milliseconds: no 10**8-byte table
+        start = time.process_time()
+        sg = cusp_record(parse_hn("100000001/2")).semigroup
+        assert (sg.conductor, sg.gap_count) == (10**8, 5 * 10**7)
+        assert sg.conductor - 1 not in sg and sg.conductor in sg
+        assert time.process_time() - start < 0.05
+        assert "_members" not in vars(sg)
 
     @pytest.mark.parametrize("gens", [(4, 6, 15), (4, 6, 9), (2, 3), (3, 7), (1,)])
     def test_telescopic_generators_accepted(self, gens):

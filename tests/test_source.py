@@ -72,3 +72,21 @@ def test_every_private_name_is_used():
                 used.update(alias.name for alias in node.names)
     found = [f"{file}:{line} {name}" for file, line, name in defined if name not in used]
     assert found == []
+
+
+def test_one_indented_json_writer():
+    # indented JSON text comes only from cli._json_text, which calls json.dumps
+    # on scalars alone; an `indent=` call (or `**kwargs`, which may carry one)
+    # elsewhere would bypass it
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dumps", "dump", "JSONEncoder") and any(
+                    kw.arg == "indent" or kw.arg is None for kw in node.keywords):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
