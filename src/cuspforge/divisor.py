@@ -264,13 +264,6 @@ def _as_tree(t: Divisor) -> WeightedTree:
     return t.to_tree() if isinstance(t, Chain) else t
 
 
-def _continuant(entries: tuple[int, ...]) -> int:
-    prev, cur = 0, 1
-    for a in entries:
-        prev, cur = cur, a * cur - prev
-    return cur
-
-
 def _subtree_determinants(weight, adj, root: int):
     """One leaf-to-root pass of subtree determinants over a rooted tree.
 
@@ -333,12 +326,10 @@ def _tree_determinants(t: WeightedTree):
 def discriminant(t: Divisor) -> int:
     """Determinant of the negated intersection matrix; d(empty) = 1.
 
-    Chains use the continuant recursion; trees use the linear-time
-    leaf-to-root expansion of `_subtree_determinants`.
+    Chains and trees alike take the linear-time leaf-to-root expansion of
+    `_subtree_determinants`; on a chain it is the continuant recursion.
     """
-    if isinstance(t, Chain):
-        return _continuant(t.entries)
-    sub = _tree_determinants(t)[2]
+    sub = _tree_determinants(_as_tree(t))[2]
     return sub[0] if sub else 1
 
 
@@ -463,23 +454,20 @@ class ContractionResult:
         return self.ok
 
 
+def _contracts_to(t: Divisor, weight: int) -> ContractionResult:
+    """Iterated blowdowns leave exactly one vertex, and it has this weight."""
+    weights, trace = _contract_all(_as_tree(t))
+    return ContractionResult(list(weights.values()) == [weight], tuple(trace))
+
+
 def contracts_to_smooth_point(t: Divisor) -> ContractionResult:
     """True when iterated blowdowns leave a single removable (-1)-vertex."""
-    tree = _as_tree(t)
-    if not tree.weights:
-        return ContractionResult(False, ())
-    weights, trace = _contract_all(tree)
-    ok = len(weights) == 1 and next(iter(weights.values())) == -1
-    return ContractionResult(ok, tuple(trace))
+    return _contracts_to(t, -1)
 
 
 def contracts_to_zero_curve(t: Divisor) -> bool:
     """True when iterated blowdowns leave a single 0-weight vertex."""
-    tree = _as_tree(t)
-    if not tree.weights:
-        return False
-    weights, _ = _contract_all(tree)
-    return len(weights) == 1 and next(iter(weights.values())) == 0
+    return _contracts_to(t, 0).ok
 
 
 def fiber_multiplicities(t: Divisor) -> tuple[int, ...]:
@@ -825,10 +813,10 @@ def hn_chain_identities(c: int, p: int) -> ChainIdentityReport:
         q_chain=Chain(b_side[::-1] + (1,) + a_side),
         a_side=a_side,
         b_side=b_side,
-        d_a=_continuant(a_side),
-        d_b=_continuant(b_side),
-        d_a_trunc=_continuant(a_side[:-1]),
-        d_b_trunc=_continuant(b_side[:-1]),
+        d_a=discriminant(Chain(a_side)),
+        d_b=discriminant(Chain(b_side)),
+        d_a_trunc=discriminant(Chain(a_side[:-1])),
+        d_b_trunc=discriminant(Chain(b_side[:-1])),
     )
 
 

@@ -1,7 +1,9 @@
 """The ten classified families of rational cuspidal curves with a C** fibration.
 
-Each family is a parametrized list of cusps given by raw HN pair formulas,
-together with the curve degree and gamma = -E^2.  Degenerate parameter
+Each family is one entry of the table `_FAMILIES`: its parameter names and
+the printed formulas for the curve degree, gamma = -E^2, the raw HN pairs of
+each cusp and the tabulated reduced multiplicity runs of each cusp.  Only
+the parameter domains live apart, in `_domain_error`.  Degenerate parameter
 choices are emitted through the same uniform formulas and cleaned up by
 standardization, so there is a single code path per family.
 """
@@ -9,23 +11,92 @@ standardization, so there is a single code path per family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import ParamOutOfDomain
 from .hn import HNPair, HNSequence, RAW, standardize
-from .invariants import REDUCED, MultiplicitySequence
+from .invariants import MultiplicitySequence
 
-# Parameter names and curve degree of each family, in canonical order.
+
+class _Family(NamedTuple):
+    """One family's printed formulas, each a function of the parameters.
+
+    `cusps` gives the raw HN pairs (c, p) of each cusp and `runs` the
+    tabulated reduced multiplicity runs (value, count) of each cusp.
+    """
+
+    names: tuple[str, ...]
+    degree: Callable[..., int]
+    gamma: Callable[..., int]
+    cusps: Callable[..., list[list[tuple[int, int]]]]
+    runs: Callable[..., list[list[tuple[int, int]]]]
+
+
+# The ten families in canonical order.
 _FAMILIES = {
-    "FZ1": (("d", "k"), lambda d, k: d),
-    "A": (("gamma", "p", "s"), lambda g, p, s: (g + 1) * p * s + 1),
-    "B": (("gamma", "p", "s"), lambda g, p, s: (g + 1) * p * s - g),
-    "C": (("gamma", "p", "s"), lambda g, p, s: (g * s + s + 1) * p + 1),
-    "D": (("gamma", "p", "s"), lambda g, p, s: (g * s + s + 1) * p - g),
-    "E": (("k",), lambda k: 8 * k + 6),
-    "F": (("k",), lambda k: 8 * k + 2),
-    "G": (("gamma",), lambda g: 2 * g - 1),
-    "OR1": (("k",), lambda k: fibonacci(4 * k + 2)),
-    "OR2": (("k",), lambda k: 2 * fibonacci(4 * k + 2)),
+    "FZ1": _Family(
+        ("d", "k"),
+        degree=lambda d, k: d, gamma=lambda d, k: d - 2,
+        cusps=lambda d, k: [[(2 * k + 1, 2)], [(d - 1, d - 2)],
+                            [(2 * (d - 2 - k) + 1, 2)]],
+        runs=lambda d, k: [[(2, k)], [(d - 2, 1)], [(2, d - 2 - k)]]),
+    "A": _Family(
+        ("gamma", "p", "s"),
+        degree=lambda g, p, s: (g + 1) * p * s + 1, gamma=lambda g, p, s: g,
+        cusps=lambda g, p, s: [[(p * s * (g + 1), p * s * g), (p * s, p), (p, 1)],
+                               [(g * (p * s + 1) + p * (s - 1) + 1, p * s + 1)]],
+        runs=lambda g, p, s: [[(g * p * s, 1), (p * s, g), (p, s)],
+                              [(p * s + 1, g), (p * (s - 1) + 1, 1), (p, s - 1)]]),
+    "B": _Family(
+        ("gamma", "p", "s"),
+        degree=lambda g, p, s: (g + 1) * p * s - g, gamma=lambda g, p, s: g,
+        cusps=lambda g, p, s: [[((p * s - 1) * (g + 1), (p * s - 1) * g), (p * s - 1, p)],
+                               [(p * (g * s + s - 1), p * s), (p, 1)]],
+        runs=lambda g, p, s: [[(g * p * s - g, 1), (p * s - 1, g), (p, s - 1), (p - 1, 1)],
+                              [(p * s, g), (p * (s - 1), 1), (p, s - 1)]]),
+    "C": _Family(
+        ("gamma", "p", "s"),
+        degree=lambda g, p, s: (g * s + s + 1) * p + 1, gamma=lambda g, p, s: g,
+        cusps=lambda g, p, s: [[(p * (g * s + s + 1), p * (g * s + 1)), (p, 1)],
+                               [((g + 1) * (p * s + 1) + p, p * s + 1)]],
+        runs=lambda g, p, s: [[(g * p * s + p, 1), (p * s, g), (p, s)],
+                              [(p * s + 1, g + 1), (p, s)]]),
+    "D": _Family(
+        ("gamma", "p", "s"),
+        degree=lambda g, p, s: (g * s + s + 1) * p - g, gamma=lambda g, p, s: g,
+        cusps=lambda g, p, s: [[((g + 1) * (p * s - 1) + p, g * (p * s - 1) + p)],
+                               [(p * (g * s + s + 1), p * s), (p, 1)]],
+        runs=lambda g, p, s: [[(g * (p * s - 1) + p, 1), (p * s - 1, g), (p, s - 1),
+                               (p - 1, 1)],
+                              [(p * s, g + 1), (p, s)]]),
+    "E": _Family(
+        ("k",),
+        degree=lambda k: 8 * k + 6, gamma=lambda k: 2,
+        cusps=lambda k: [[(8 * k + 8, 4 * k + 2), (2, 1)],
+                         [(8 * k + 4, 4 * k + 4), (4, 1)]],
+        runs=lambda k: [[(4 * k + 2, 2), (4, k), (2, 2)],
+                        [(4 * k + 4, 1), (4 * k, 1), (4, k)]]),
+    "F": _Family(
+        ("k",),
+        degree=lambda k: 8 * k + 2, gamma=lambda k: 2,
+        cusps=lambda k: [[(8 * k, 4 * k + 2), (2, 1)], [(8 * k + 4, 4 * k), (4, 1)]],
+        runs=lambda k: [[(4 * k + 2, 1), (4 * k - 2, 1), (4, k - 1), (2, 2)],
+                        [(4 * k, 2), (4, k)]]),
+    "G": _Family(
+        ("gamma",),
+        degree=lambda g: 2 * g - 1, gamma=lambda g: g,
+        cusps=lambda g: [[(4 * g - 3, g - 1)], [(2 * g - 1, 2)]],
+        runs=lambda g: [[(g - 1, 4)], [(2, g - 1)]]),
+    "OR1": _Family(
+        ("k",),
+        degree=lambda k: fibonacci(4 * k + 2), gamma=lambda k: 2,
+        cusps=lambda k: [[(fibonacci(4 * k + 4), fibonacci(4 * k)), (3, 1)]],
+        runs=lambda k: [_or_mult_runs(k, 1)]),
+    "OR2": _Family(
+        ("k",),
+        degree=lambda k: 2 * fibonacci(4 * k + 2), gamma=lambda k: 2,
+        cusps=lambda k: [[(2 * fibonacci(4 * k + 4), 2 * fibonacci(4 * k)), (6, 1)]],
+        runs=lambda k: [_or_mult_runs(k, 2)]),
 }
 FAMILY_IDS = tuple(_FAMILIES)
 
@@ -58,13 +129,13 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.id!r}")
         params = tuple(int(v) for v in self.params)
         object.__setattr__(self, "params", params)
-        names, _ = _FAMILIES[self.id]
+        names = _FAMILIES[self.id].names
         if len(params) != len(names):
             raise ValueError(
                 f"{self.id} takes parameters {names}, got {len(params)} values")
 
     def named(self) -> dict[str, int]:
-        return dict(zip(_FAMILIES[self.id][0], self.params))
+        return dict(zip(_FAMILIES[self.id].names, self.params))
 
     def __str__(self) -> str:
         return f"{self.id}({','.join(str(v) for v in self.params)})"
@@ -158,82 +229,14 @@ class CurveRecord:
         }
 
 
-def _raw(*pairs: tuple[int, int]) -> HNSequence:
-    return HNSequence(tuple(HNPair(c, p) for c, p in pairs), RAW)
-
-
-def _build(spec: FamilySpec):
-    """Raw cusp list and gamma from the printed formulas."""
-    fid = spec.id
-    if fid == "FZ1":
-        d, k = spec.params
-        cusps = [
-            _raw((2 * k + 1, 2)),
-            _raw((d - 1, d - 2)),
-            _raw((2 * (d - 2 - k) + 1, 2)),
-        ]
-        return cusps, d - 2
-    if fid == "A":
-        g, p, s = spec.params
-        cusps = [
-            _raw((p * s * (g + 1), p * s * g), (p * s, p), (p, 1)),
-            _raw((g * (p * s + 1) + p * (s - 1) + 1, p * s + 1)),
-        ]
-        return cusps, g
-    if fid == "B":
-        g, p, s = spec.params
-        cusps = [
-            _raw(((p * s - 1) * (g + 1), (p * s - 1) * g), (p * s - 1, p)),
-            _raw((p * (g * s + s - 1), p * s), (p, 1)),
-        ]
-        return cusps, g
-    if fid == "C":
-        g, p, s = spec.params
-        cusps = [
-            _raw((p * (g * s + s + 1), p * (g * s + 1)), (p, 1)),
-            _raw(((g + 1) * (p * s + 1) + p, p * s + 1)),
-        ]
-        return cusps, g
-    if fid == "D":
-        g, p, s = spec.params
-        cusps = [
-            _raw(((g + 1) * (p * s - 1) + p, g * (p * s - 1) + p)),
-            _raw((p * (g * s + s + 1), p * s), (p, 1)),
-        ]
-        return cusps, g
-    if fid == "E":
-        (k,) = spec.params
-        cusps = [
-            _raw((8 * k + 8, 4 * k + 2), (2, 1)),
-            _raw((8 * k + 4, 4 * k + 4), (4, 1)),
-        ]
-        return cusps, 2
-    if fid == "F":
-        (k,) = spec.params
-        cusps = [
-            _raw((8 * k, 4 * k + 2), (2, 1)),
-            _raw((8 * k + 4, 4 * k), (4, 1)),
-        ]
-        return cusps, 2
-    if fid == "G":
-        (g,) = spec.params
-        cusps = [_raw((4 * g - 3, g - 1)), _raw((2 * g - 1, 2))]
-        return cusps, g
-    if fid == "OR1":
-        (k,) = spec.params
-        cusps = [_raw((fibonacci(4 * k + 4), fibonacci(4 * k)), (3, 1))]
-        return cusps, 2
-    (k,) = spec.params
-    cusps = [_raw((2 * fibonacci(4 * k + 4), 2 * fibonacci(4 * k)), (6, 1))]
-    return cusps, 2
-
-
 def generate(spec: FamilySpec) -> CurveRecord:
     """Emit the raw printed cusps plus their standard forms for one instance."""
     check_domain(spec)
-    raw_cusps, gamma = _build(spec)
-    _, degree = _FAMILIES[spec.id]
-    return CurveRecord.from_cusps(degree(*spec.params), gamma, raw_cusps, family=spec)
+    family, params = _FAMILIES[spec.id], spec.params
+    cusps = (HNSequence(tuple(HNPair(c, p) for c, p in pairs), RAW)
+             for pairs in family.cusps(*params))
+    return CurveRecord.from_cusps(
+        family.degree(*params), family.gamma(*params), cusps, family=spec)
 
 
 def enumerate_curves(max_degree: int) -> list[CurveRecord]:
@@ -259,7 +262,7 @@ def enumerate_curves(max_degree: int) -> list[CurveRecord]:
 
 def _sweep(fid: str, prefix: tuple[int, ...], max_degree: int):
     """Admissible parameter tuples extending prefix of degree <= max_degree, ascending."""
-    names, degree = _FAMILIES[fid]
+    names, degree = _FAMILIES[fid].names, _FAMILIES[fid].degree
     rest = len(names) - len(prefix) - 1
     admitted = False
     for v in range(1, max_degree + 1):
@@ -309,56 +312,8 @@ def expected_reduced_multiplicities(spec: FamilySpec) -> tuple[MultiplicitySeque
     parameters; those are dropped, matching the reduced form convention.
     """
     check_domain(spec)
-    fid = spec.id
-    if fid == "FZ1":
-        d, k = spec.params
-        runsets = [[(2, k)], [(d - 2, 1)], [(2, d - 2 - k)]]
-    elif fid == "A":
-        g, p, s = spec.params
-        runsets = [
-            [(g * p * s, 1), (p * s, g), (p, s)],
-            [(p * s + 1, g), (p * (s - 1) + 1, 1), (p, s - 1)],
-        ]
-    elif fid == "B":
-        g, p, s = spec.params
-        runsets = [
-            [(g * p * s - g, 1), (p * s - 1, g), (p, s - 1), (p - 1, 1)],
-            [(p * s, g), (p * (s - 1), 1), (p, s - 1)],
-        ]
-    elif fid == "C":
-        g, p, s = spec.params
-        runsets = [
-            [(g * p * s + p, 1), (p * s, g), (p, s)],
-            [(p * s + 1, g + 1), (p, s)],
-        ]
-    elif fid == "D":
-        g, p, s = spec.params
-        runsets = [
-            [(g * (p * s - 1) + p, 1), (p * s - 1, g), (p, s - 1), (p - 1, 1)],
-            [(p * s, g + 1), (p, s)],
-        ]
-    elif fid == "E":
-        (k,) = spec.params
-        runsets = [
-            [(4 * k + 2, 2), (4, k), (2, 2)],
-            [(4 * k + 4, 1), (4 * k, 1), (4, k)],
-        ]
-    elif fid == "F":
-        (k,) = spec.params
-        runsets = [
-            [(4 * k + 2, 1), (4 * k - 2, 1), (4, k - 1), (2, 2)],
-            [(4 * k, 2), (4, k)],
-        ]
-    elif fid == "G":
-        (g,) = spec.params
-        runsets = [[(g - 1, 4)], [(2, g - 1)]]
-    elif fid == "OR1":
-        (k,) = spec.params
-        runsets = [_or_mult_runs(k, 1)]
-    else:
-        (k,) = spec.params
-        runsets = [_or_mult_runs(k, 2)]
-    return tuple(_table_reduced(runs) for runs in runsets)
+    return tuple(MultiplicitySequence.from_runs((v, n) for v, n in runs if v > 1)
+                 for runs in _FAMILIES[spec.id].runs(*spec.params))
 
 
 def _or_mult_runs(k: int, scale: int) -> list[tuple[int, int]]:
@@ -368,9 +323,3 @@ def _or_mult_runs(k: int, scale: int) -> list[tuple[int, int]]:
         runs.append((scale * (fibonacci(4 * l) - fibonacci(4 * l - 4)), 1))
     return runs
 
-
-def _table_reduced(runs) -> MultiplicitySequence:
-    filtered = [(v, n) for v, n in runs if n > 0]
-    while filtered and filtered[-1][0] == 1:
-        filtered.pop()
-    return MultiplicitySequence.from_runs(filtered, REDUCED)

@@ -113,6 +113,14 @@ def negated_matrix(tree: WeightedTree) -> list[list[int]]:
     return m
 
 
+def continuant_oracle(entries: tuple[int, ...]) -> int:
+    """Chain discriminant by the three-term continuant recursion; 1 when empty."""
+    prev, cur = 0, 1
+    for a in entries:
+        prev, cur = cur, a * cur - prev
+    return cur
+
+
 def bareiss_det(mat: list[list[int]]) -> int:
     """Fraction-free Gaussian elimination; exact integer determinant."""
     n = len(mat)

@@ -15,6 +15,7 @@ import cuspforge
 from cuspforge.divisor import (
     CHAIN,
     Chain,
+    ContractionResult,
     NONDEGENERATE,
     OTHER,
     SPECIAL_FORK,
@@ -49,6 +50,7 @@ from support import (
     chain_fiber_oracle,
     chain_oracle,
     chains,
+    continuant_oracle,
     contraction_order_oracle,
     gauss_jordan_kernel,
     induced_discriminant,
@@ -214,6 +216,10 @@ class TestDiscriminant:
 
     def test_empty_tree(self):
         assert discriminant(WeightedTree((), ())) == 1
+
+    @given(chains(min_size=0, max_size=12, low=-3, high=9))
+    def test_chain_matches_continuant_oracle(self, a):
+        assert discriminant(a) == continuant_oracle(a.entries)
 
 
 class TestNegativeDefinite:
@@ -383,6 +389,12 @@ class TestContraction:
         assert contracts_to_zero_curve(ch(3, 1, 2, 2).to_tree())
         assert not contracts_to_zero_curve(ch(2, 1, 1, 2).to_tree())
         assert not contracts_to_smooth_point(ch(2, 1, 1, 2).to_tree())
+
+    def test_empty_divisor_contracts_to_nothing(self):
+        # no vertex survives, so neither a (-1)-vertex nor a 0-curve does
+        for empty in (WeightedTree((), ()), ch()):
+            assert contracts_to_smooth_point(empty) == ContractionResult(False, ())
+            assert contracts_to_zero_curve(empty) is False
 
     def test_result_reports_order(self):
         res = contracts_to_smooth_point(ch(2, 1, 3).to_tree())

@@ -215,7 +215,7 @@ FACT_GRID = {1: range(-2, 40), 2: range(-2, 40), 3: range(-2, 14)}
 class TestSweepFacts:
     @pytest.mark.parametrize("fid", FAMILY_IDS)
     def test_admissible_parameters_between_one_and_degree(self, fid):
-        names, degree = _FAMILIES[fid]
+        names, degree = _FAMILIES[fid].names, _FAMILIES[fid].degree
         for params in itertools.product(FACT_GRID[len(names)], repeat=len(names)):
             if admissible(fid, params):
                 assert all(1 <= v <= degree(*params) for v in params), params
@@ -224,7 +224,7 @@ class TestSweepFacts:
     def test_degree_never_falls_when_a_parameter_rises(self, fid):
         # over every positive tuple: the sweep bounds a prefix's completions
         # by the degree with the later parameters at 1, admissible or not
-        names, degree = _FAMILIES[fid]
+        names, degree = _FAMILIES[fid].names, _FAMILIES[fid].degree
         positive = [v for v in FACT_GRID[len(names)] if v >= 1]
         for params in itertools.product(positive, repeat=len(names)):
             for i in range(len(params)):
@@ -233,7 +233,7 @@ class TestSweepFacts:
 
     @pytest.mark.parametrize("fid", FAMILY_IDS)
     def test_last_parameter_admissible_on_one_interval(self, fid):
-        names, _ = _FAMILIES[fid]
+        names = _FAMILIES[fid].names
         grid = FACT_GRID[len(names)]
         for prefix in itertools.product(grid, repeat=len(names) - 1):
             admitted = [v for v in grid if admissible(fid, prefix + (v,))]

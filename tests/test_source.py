@@ -1,10 +1,12 @@
 """Checks on the library source itself."""
 
 import ast
+import inspect
 import pathlib
 import sys
 
 import cuspforge
+from cuspforge.families import _FAMILIES, FAMILY_IDS
 
 PACKAGE = pathlib.Path(cuspforge.__file__).parent
 
@@ -89,4 +91,39 @@ def test_one_indented_json_writer():
             if name in ("dumps", "dump", "JSONEncoder") and any(
                     kw.arg == "indent" or kw.arg is None for kw in node.keywords):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _family_id_tests(tree: ast.AST):
+    """Line of every comparison or match case against a literal family id."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        literals = [e for o in operands
+                    for e in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
+        if any(isinstance(e, ast.Constant) and e.value in FAMILY_IDS for e in literals):
+            yield node.lineno
+
+
+def test_family_table_is_the_only_dispatch():
+    # a family's formulas live in its `_FAMILIES` entry; only the parameter
+    # domains in `_domain_error` may branch on a family id
+    path = PACKAGE / "families.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = {line for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_domain_error"
+               for line in _family_id_tests(node)}
+    found = [f"{path.name}:{line}" for line in _family_id_tests(tree) if line not in allowed]
+    assert found == []
+
+
+def test_family_formulas_take_every_parameter():
+    found = [f"{fid}.{field}" for fid, family in _FAMILIES.items()
+             for field in family._fields[1:]
+             if len(inspect.signature(getattr(family, field)).parameters)
+             != len(family.names)]
     assert found == []
