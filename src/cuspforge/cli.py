@@ -17,7 +17,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from .divisor import dot_export, resolution_graph
+from .divisor import _dot_pieces, _edge_texts, _spans, resolution_graph
 from .errors import CuspforgeError
 from .families import (
     FAMILY_IDS,
@@ -73,12 +73,12 @@ def _parse_pair_list(text: str, kind: str) -> PairList:
     return PairList(kind, tuple((int(a), int(b)) for a, b in toks))
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_pieces(path: str, pieces) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _json_text(obj, pad: str = "\n") -> str:
@@ -86,17 +86,25 @@ def _json_text(obj, pad: str = "\n") -> str:
 
     `pad` is the newline and indentation of `obj`'s own level.  A list of
     strings is encoded in one C-level join, which raises TypeError at the
-    first item that is not a string; other containers recurse and scalars
-    go through the C encoder of ``json.dumps``.
+    first item that is not a string: when no string needs escaping (all
+    printable ASCII, no quote, no backslash) the quotes go into the
+    separator, else each string is escaped.  Other containers recurse and
+    scalars go through the C encoder of ``json.dumps``.
     """
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
         try:
-            body = ("," + inner).join(map(encode_basestring_ascii, obj))
+            plain = "".join(obj)
         except TypeError:
             body = ("," + inner).join(map(_json_text, obj, repeat(inner)))
+        else:
+            if (plain.isascii() and plain.isprintable()
+                    and '"' not in plain and "\\" not in plain):
+                body = '"' + ('",' + inner + '"').join(obj) + '"'
+            else:
+                body = ("," + inner).join(map(encode_basestring_ascii, obj))
         return "[" + inner + body + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -112,10 +120,49 @@ def _print_json(obj) -> None:
     print(_json_text(obj))
 
 
-def _print_rows(rows: Sequence[tuple[str, str]]) -> None:
+def _joined(pieces, sep: str):
+    """The text pieces with `sep` between each two, where `sep.join` puts it."""
+    first = True
+    for piece in pieces:
+        if not first:
+            yield sep
+        first = False
+        yield piece
+
+
+def _json_list(pieces, pad: str):
+    """An indent-2 JSON array at level `pad`, in pieces.
+
+    Each of `pieces` holds encoded items already joined by the item
+    separator; without pieces the array is "[]".
+    """
+    inner = pad + "  "
+    body = _joined(pieces, "," + inner)
+    head = next(body, None)
+    if head is None:
+        yield "[]"
+        return
+    yield "[" + inner + head
+    yield from body
+    yield pad + "]"
+
+
+def _run_texts(runs, fmt: str, sep: str):
+    """The items of (value, count) runs as `fmt` texts joined by `sep`, in pieces."""
+    for value, count in runs:
+        item = fmt.format(value)
+        for _, size in _spans(0, count):
+            yield sep.join(repeat(item, size))
+
+
+def _print_rows(rows: Sequence[tuple[str, object]]) -> None:
+    """Aligned `key  value` lines; a value is a string or an iterable of pieces."""
     width = max(len(k) for k, _ in rows)
+    out = sys.stdout
     for key, value in rows:
-        print(f"{key:<{width}}  {value}")
+        out.write(f"{key:<{width}}  ")
+        out.writelines((value,) if isinstance(value, str) else value)
+        out.write("\n")
 
 
 def _print_report(report: AuditReport) -> None:
@@ -187,37 +234,83 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
+def _weight_runs(res):
+    """The vertex weights as (value, count) runs, in vertex order."""
+    for _, length, end in res.runs:
+        yield -2, length - 1
+        yield end, 1
+
+
+def _weight_texts(res):
+    """The `v<id>:<weight>` items of the text row, in pieces."""
+    for first, length, end in res.runs:
+        for start, size in _spans(first, length - 1):
+            yield "v" + ":-2 v".join(map(str, range(start, start + size))) + ":-2"
+        yield f"v{first + length - 1}:{end}"
+
+
+def _chain_text(runs):
+    yield "["
+    yield from _joined(_run_texts(runs, "{}", ","), ",")
+    yield "]"
+
+
+def _resolve_json(std, res, chain):
+    """`resolve --json` in pieces, read from the run form.
+
+    The text is that of `json.dumps(obj, indent=2)` for the object with
+    the keys hn, weights, edges, curve_vertex, multiplicities and chain.
+    """
+    pad, inner = "\n  ", "\n    "
+    sep = "," + inner
+    yield "{" + pad + '"hn": ' + _json_text(std.to_json_obj(), pad)
+    yield "," + pad + '"weights": '
+    yield from _json_list(_run_texts(_weight_runs(res), '"{}"', sep), pad)
+    yield "," + pad + '"edges": '
+    edge_open, edge_close = "[" + inner + '  "', '"' + inner + "]"
+    yield from _json_list(
+        (edge_open + text + edge_close for text in _edge_texts(
+            res._edge_walk(), '",' + inner + '  "', edge_close + sep + edge_open)),
+        pad)
+    yield "," + pad + f'"curve_vertex": "{res.c_vertex}"'
+    yield "," + pad + '"multiplicities": '
+    yield from _json_list(_run_texts(res.mult.runs, '"{}"', sep), pad)
+    yield "," + pad + '"chain": '
+    if chain is None:
+        yield "null"
+    else:
+        yield '"'
+        yield from chain
+        yield '"'
+    yield "\n}\n"
+
+
 def _cmd_resolve(args: argparse.Namespace) -> int:
+    """Written from the run form in pieces: no output holds every vertex."""
     std = standardize(parse_hn(args.hn))
     res = resolution_graph(std)
+    vertices = len(res)     # raises past an index, before any output
     if args.dot is not None:
-        _write_text(args.dot, dot_export(res))
+        _write_pieces(args.dot, _dot_pieces(res))
         return 0
     try:
-        chain_text: Optional[str] = str(res.chain())
+        chain = _chain_text(res._chain_runs())
     except ValueError:
-        chain_text = None
+        chain = None
     if args.json:
-        obj = {
-            "hn": std.to_json_obj(),
-            "weights": list(map(str, res.tree.weights)),
-            "edges": [[str(u), str(v)] for u, v in res.tree.edges],
-            "curve_vertex": str(res.c_vertex),
-            "multiplicities": list(map(str, res.mult.entries())),
-            "chain": chain_text,
-        }
-        _print_json(obj)
+        sys.stdout.writelines(_resolve_json(std, res, chain))
         return 0
     rows = [
         ("hn", format_hn(std)),
-        ("vertices", str(len(res.tree))),
-        ("weights", " ".join(f"v{i}:{w}" for i, w in enumerate(res.tree.weights))),
-        ("edges", " ".join(f"v{u}-v{v}" for u, v in res.tree.edges)),
+        ("vertices", str(vertices)),
+        ("weights", _joined(_weight_texts(res), " ")),
+        ("edges", _joined(("v" + text for text in _edge_texts(
+            res._edge_walk(), "-v", " v")), " ")),
         ("curve", f"v{res.c_vertex}"),
-        ("mult", res.mult.to_text()),
+        ("mult", _joined(_run_texts(res.mult.runs, "{}", ","), ",")),
     ]
-    if chain_text is not None:
-        rows.append(("chain", chain_text))
+    if chain is not None:
+        rows.append(("chain", chain))
     _print_rows(rows)
     return 0
 

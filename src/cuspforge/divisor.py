@@ -14,7 +14,8 @@ The resolution is held as runs: the blowups of one Euclidean quotient form
 a chain of (-2)-curves ending in the newest curve, so building it and
 computing its audited invariants cost O(#quotients) integer operations,
 however large the quotients.  The tree with one vertex per blowup is
-expanded only when it is read, for output.
+expanded only for callers that ask for a `WeightedTree`, never for output:
+DOT text and the CLI are written from the runs in bounded pieces.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import groupby
 from math import gcd
 from typing import NamedTuple, Union
 
@@ -38,6 +40,9 @@ NONDEGENERATE = "nondegenerate"
 CHAIN = "chain"
 SPECIAL_FORK = "special_fork"
 OTHER = "other"
+
+_PIECE = 1 << 14    # items per piece of streamed output
+
 
 @dataclass(frozen=True, eq=False)
 class WeightedTree:
@@ -110,6 +115,18 @@ class WeightedTree:
         if cached is None:
             cached = _canonical_code(self.weights, self.adjacency())
             object.__setattr__(self, "_canon", cached)
+        return cached
+
+    def _determinants(self) -> tuple[int, bool]:
+        """(discriminant, negative definite), from one pass kept on the tree.
+
+        Neither value depends on the root, so the one `_tree_determinants`
+        pass serves `discriminant` and `is_negative_definite` alike.
+        """
+        cached = self.__dict__.get("_dets")
+        if cached is None:
+            cached = _verdict(_tree_determinants(self)[2])
+            object.__setattr__(self, "_dets", cached)
         return cached
 
     def __eq__(self, other: object) -> bool:
@@ -323,19 +340,70 @@ def _tree_determinants(t: WeightedTree):
     return _subtree_determinants(t.weights, adj, 0)
 
 
+def _chain_junctions(entries: tuple[int, ...]):
+    """A chain with every maximal run of 2s between two vertices as one edge.
+
+    The vertices are the two tips and every entry other than 2, in order,
+    each joined to the previous one by an edge carrying the number of
+    (-2)-curves between them: the form `_subtree_determinants` reads.
+    """
+    weight: list[int] = []
+    adj: list[list[tuple[int, int]]] = []
+    twos = 0
+
+    def vertex(a: int) -> None:
+        nonlocal twos
+        v = len(weight)
+        weight.append(-a)
+        adj.append([])
+        if v:
+            adj[v - 1].append((v, twos))
+            adj[v].append((v - 1, twos))
+        twos = 0
+
+    groups = [(a, len(list(g))) for a, g in groupby(entries)]
+    for i, (a, count) in enumerate(groups):
+        if a != 2:
+            for _ in range(count):
+                vertex(a)
+            continue
+        if i == 0:
+            vertex(2)
+            count -= 1
+        if i == len(groups) - 1 and count:
+            twos += count - 1
+            vertex(2)
+        else:
+            twos += count
+    return weight, adj
+
+
+def _verdict(sub: list[int]) -> tuple[int, bool]:
+    """(discriminant, negative definite) from subtree values rooted at vertex 0."""
+    return (sub[0] if sub else 1), all(d > 0 for d in sub)
+
+
+def _determinant_pair(t: Divisor) -> tuple[int, bool]:
+    if isinstance(t, Chain):
+        weight, adj = _chain_junctions(t.entries)
+        return _verdict(_subtree_determinants(weight, adj, 0)[2])
+    return t._determinants()
+
+
 def discriminant(t: Divisor) -> int:
     """Determinant of the negated intersection matrix; d(empty) = 1.
 
     Chains and trees alike take the linear-time leaf-to-root expansion of
-    `_subtree_determinants`; on a chain it is the continuant recursion.
+    `_subtree_determinants`; a chain's runs of 2s are read as single edges,
+    so it costs O(#entries other than 2) integer steps.  A tree keeps the
+    result, and `is_negative_definite` reads the same pass.
     """
-    sub = _tree_determinants(_as_tree(t))[2]
-    return sub[0] if sub else 1
+    return _determinant_pair(t)[0]
 
 
 def is_negative_definite(t: Divisor) -> bool:
     """Sylvester test: every rooted subtree has positive discriminant."""
-    return all(d > 0 for d in _tree_determinants(_as_tree(t))[2])
+    return _determinant_pair(t)[1]
 
 
 def star_concat(a: Chain, b: Chain) -> Chain:
@@ -611,7 +679,9 @@ class MarkedResolution:
     inside each run plus `links`, which join ends of runs.  c_vertex is
     the unique (-1)-curve, which the proper transform of the branch meets.
     mult is the full multiplicity sequence read off during the
-    construction.  `tree` expands the runs on first use.
+    construction.  `tree` expands the runs on first use, for callers that
+    want a `WeightedTree`; output (`dot_export` and the CLI) is written
+    from the runs and `_edge_walk` in bounded pieces and never expands it.
     """
 
     runs: tuple[Run, ...]
@@ -620,17 +690,39 @@ class MarkedResolution:
     mult: MultiplicitySequence
     hn: HNSequence
 
+    def __len__(self) -> int:
+        """The number of vertices, one per blowup; OverflowError past an index."""
+        return self.c_vertex + 1
+
     @cached_property
     def tree(self) -> WeightedTree:
         """The dual graph with one vertex per blowup; a tree by construction."""
         weights: list[int] = []
-        edges = list(self.links)
         for first, length, end in self.runs:
             weights += [-2] * (length - 1)
             weights.append(end)
-            edges += zip(range(first, first + length - 1), range(first + 1, first + length))
-        edges.sort()
+        edges: list[tuple[int, int]] = []
+        for a, b, n in self._edge_walk():
+            edges += zip(range(a, a + n), range(b, b + n))
         return WeightedTree._trusted(tuple(weights), tuple(edges))
+
+    def _edge_walk(self):
+        """The edges in sorted (a, b) order, a < b, as pieces (a, b, n).
+
+        A piece stands for the n edges (a + i, b + i): the chain inside a
+        run is one piece, a link another.  Every link starts at the newest
+        vertex of a run, so after the chain of each run come the links of
+        its newest vertex, in order; that is the sorted order of all edges.
+        """
+        links = sorted(self.links)
+        i = 0
+        for first, length, _ in self.runs:
+            if length > 1:
+                yield first, first + 1, length - 1
+            newest = first + length - 1
+            while i < len(links) and links[i][0] == newest:
+                yield links[i][0], links[i][1], 1
+                i += 1
 
     def _junctions(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
         """The tree with every run interior contracted, numbered in id order.
@@ -676,14 +768,18 @@ class MarkedResolution:
 
     def chain(self) -> Chain:
         """The divisor as a chain, (-1)-curve followed by the heavier side."""
+        return Chain.from_runs(self._chain_runs())
+
+    def _chain_runs(self) -> list[tuple[int, int]]:
+        """The entries of `chain()` as (value, count) runs, in O(#runs)."""
         heavier, lighter = self._chain_sides()
-        return Chain(lighter[::-1] + (1,) + heavier)
+        return [*reversed(lighter), (1, 1), *heavier]
 
-    def _chain_sides(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Entries on the two sides of the (-1)-curve of a chain, read outward.
+    def _chain_sides(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The two sides of the (-1)-curve of a chain as (value, count) runs.
 
-        The side of larger discriminant comes first; on a tie, the side
-        toward the tip with the smaller id.
+        Each side is read outward.  The side of larger discriminant comes
+        first; on a tie, the side toward the tip with the smaller id.
         """
         weight, adj = self._junctions()
         if any(len(nb) > 2 for nb in adj):
@@ -692,15 +788,14 @@ class MarkedResolution:
         _, parent, sub, _ = _subtree_determinants(weight, adj, root)
         sides = []
         for v, k in adj[root]:
-            det, entries = sub[v], []
+            det, runs = sub[v], []
             while True:
-                entries += [2] * k
-                entries.append(-weight[v])
+                runs += [(2, k), (-weight[v], 1)]
                 ahead = [step for step in adj[v] if step[0] != parent[v]]
                 if not ahead:
                     break
                 (v, k), = ahead
-            sides.append((v, tuple(entries), det))
+            sides.append((v, tuple(runs), det))
         while len(sides) < 2:
             sides.append((root, (), 1))
         (_, left, d_left), (_, right, d_right) = sorted(sides)
@@ -806,7 +901,8 @@ def hn_chain_identities(c: int, p: int) -> ChainIdentityReport:
         raise ValueError(f"need c > p >= 1, got ({c},{p})")
     if gcd(c, p) != 1:
         raise NotCoprime(f"gcd({c},{p}) = {gcd(c, p)} != 1")
-    a_side, b_side = _resolve(HNSequence((HNPair(c, p),), RAW))._chain_sides()
+    a_side, b_side = (Chain.from_runs(side).entries for side in
+                      _resolve(HNSequence((HNPair(c, p),), RAW))._chain_sides())
     return ChainIdentityReport(
         c=c,
         p=p,
@@ -820,19 +916,54 @@ def hn_chain_identities(c: int, p: int) -> ChainIdentityReport:
     )
 
 
+def _spans(start: int, count: int):
+    """(start, count) cut into (first, size) pieces of at most _PIECE items."""
+    for first in range(start, start + count, _PIECE):
+        yield first, min(_PIECE, start + count - first)
+
+
+def _edge_texts(walk, mid: str, between: str):
+    """The walk's edges as id texts, `mid` inside an edge and `between` edges.
+
+    One text per piece of the walk of at most _PIECE edges.
+    """
+    for a, b, n in walk:
+        for first, size in _spans(0, n):
+            yield between.join(map(mid.join, zip(
+                map(str, range(a + first, a + first + size)),
+                map(str, range(b + first, b + first + size)))))
+
+
+def _dot_pieces(obj):
+    """`dot_export` text in pieces of at most _PIECE lines, from the run form.
+
+    A resolution too large to list raises OverflowError before the first
+    piece.
+    """
+    if isinstance(obj, MarkedResolution):
+        len(obj)    # raises past an index, before any text
+        runs, walk, mark = obj.runs, obj._edge_walk(), obj.c_vertex
+    else:
+        tree = _as_tree(obj)
+        runs = [Run(v, 1, w) for v, w in enumerate(tree.weights)]
+        walk, mark = ((a, b, 1) for a, b in tree.edges), None
+    yield "graph Q {\n  node [shape=circle];\n"
+    label = ' [label="-2"];\n'
+    for first, length, end in runs:
+        for start, size in _spans(first, length - 1):
+            yield "  v" + (label + "  v").join(map(str, range(start, start + size))) + label
+        newest = first + length - 1
+        shape = ", shape=doublecircle" if newest == mark else ""
+        yield f'  v{newest} [label="{end}"{shape}];\n'
+    if mark is not None:
+        yield "  E [shape=box];\n"
+    for text in _edge_texts(walk, " -- v", ";\n  v"):
+        yield "  v" + text + ";\n"
+    if mark is not None:
+        yield f"  v{mark} -- E [style=dashed];\n"
+    yield "}\n"
+
+
 def dot_export(obj) -> str:
     """Graphviz text with creation-ordered vertices for byte-stable output."""
-    marked = obj if isinstance(obj, MarkedResolution) else None
-    tree = marked.tree if marked else _as_tree(obj)
-    lines = ["graph Q {", "  node [shape=circle];"]
-    for v, w in enumerate(tree.weights):
-        mark = ", shape=doublecircle" if marked and v == marked.c_vertex else ""
-        lines.append(f'  v{v} [label="{w}"{mark}];')
-    if marked:
-        lines.append("  E [shape=box];")
-    for a, b in tree.edges:
-        lines.append(f"  v{a} -- v{b};")
-    if marked:
-        lines.append(f"  v{marked.c_vertex} -- E [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_pieces(obj))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -20,7 +21,7 @@ from cuspforge.divisor import (
     star_concat,
 )
 from cuspforge.errors import EntryBelowTwo, NotAFiber
-from cuspforge.hn import HNPair, HNSequence, RAW, STANDARD
+from cuspforge.hn import HNPair, HNSequence, RAW, STANDARD, format_hn
 from cuspforge.invariants import FULL, MultiplicitySequence, PuiseuxCharacteristic
 
 
@@ -317,6 +318,51 @@ def chain_oracle(tree: WeightedTree, v: int) -> tuple[int, ...]:
     if discriminant(Chain(left)) >= discriminant(Chain(right)):
         return right[::-1] + (1,) + left
     return left[::-1] + (1,) + right
+
+
+def resolve_output_oracle(std: HNSequence) -> tuple[str, str, str]:
+    """`resolve` stdout with --json, as text rows and with --dot -, in that order.
+
+    Printed from the expanded tree with one vertex per blowup, as the CLI
+    once did: `json.dumps(obj, indent=2)` of the whole object, one text row
+    joined per field, and one DOT line per vertex and per edge.  The tree,
+    the multiplicities and the chain come from `simulate_resolution` and
+    `chain_oracle`, not from the run form.
+    """
+    tree, mult, last = simulate_resolution(std.pairs)
+    adj = tree.adjacency()
+    chain_text = None
+    if all(len(nb) <= 2 for nb in adj.values()):
+        chain_text = "[" + ",".join(map(str, chain_oracle(tree, last))) + "]"
+    obj = {
+        "hn": std.to_json_obj(),
+        "weights": [str(w) for w in tree.weights],
+        "edges": [[str(u), str(v)] for u, v in tree.edges],
+        "curve_vertex": str(last),
+        "multiplicities": [str(m) for m in mult.entries()],
+        "chain": chain_text,
+    }
+    rows = [
+        ("hn", format_hn(std)),
+        ("vertices", str(len(tree))),
+        ("weights", " ".join(f"v{i}:{w}" for i, w in enumerate(tree.weights))),
+        ("edges", " ".join(f"v{u}-v{v}" for u, v in tree.edges)),
+        ("curve", f"v{last}"),
+        ("mult", mult.to_text()),
+    ]
+    if chain_text is not None:
+        rows.append(("chain", chain_text))
+    width = max(len(key) for key, _ in rows)
+    text = "".join(f"{key:<{width}}  {value}\n" for key, value in rows)
+    lines = ["graph Q {", "  node [shape=circle];"]
+    for v, w in enumerate(tree.weights):
+        mark = ", shape=doublecircle" if v == last else ""
+        lines.append(f'  v{v} [label="{w}"{mark}];')
+    lines.append("  E [shape=box];")
+    lines += [f"  v{a} -- v{b};" for a, b in tree.edges]
+    lines.append(f"  v{last} -- E [style=dashed];")
+    lines.append("}")
+    return json.dumps(obj, indent=2) + "\n", text, "\n".join(lines) + "\n"
 
 
 def adjoint_fold_oracle(a: Chain) -> Chain:

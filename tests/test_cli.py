@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspforge import divisor
 from cuspforge.cli import _json_text, run
+from cuspforge.hn import format_hn, parse_hn, standardize
+from support import resolution_corpus_hn, resolve_output_oracle
 
 INVARIANT_ROWS = """\
 hn         6/4,2/3
@@ -153,6 +158,53 @@ class TestResolve:
     def test_json_chain_for_one_pair(self, capsys):
         _, out, _ = invoke(capsys, "resolve", "--hn", "13/4", "--json")
         assert json.loads(out)["chain"] == "[2,2,2,1,5,2,2]"
+
+
+def resolve_outputs(text: str) -> tuple[str, str, str]:
+    """stdout of `resolve --hn text` with --json, as text and with --dot -."""
+    outs = []
+    for fmt in (["--json"], [], ["--dot", "-"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["resolve", "--hn", text, *fmt]) == 0
+        outs.append(out.getvalue())
+    return tuple(outs)
+
+
+class TestResolveFromRuns:
+    """Output written from the run form against the expanded-tree printing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(resolution_corpus_hn(cap=3000), st.sampled_from([1, 2, 3, 7]))
+    def test_matches_expanded_tree_output(self, s, piece):
+        # tiny pieces put piece boundaries inside runs, edges and chains
+        want = resolve_output_oracle(s)
+        assert resolve_outputs(format_hn(s)) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(divisor, "_PIECE", piece)
+            assert resolve_outputs(format_hn(s)) == want
+
+    @pytest.mark.parametrize("text", [
+        "3/2", "13/4", "6/4,2/3", "987/144,3/1", "120/90,30/20,10/7",
+        "65537/2", "49153/3", "16387/16385",
+    ])
+    def test_fixed_cases(self, text):
+        # runs longer than one piece of output, and pieces that end a run
+        assert resolve_outputs(text) == resolve_output_oracle(standardize(parse_hn(text)))
+
+    @pytest.mark.parametrize("fmt", [["--json"], [], ["--dot", "-"]])
+    def test_too_many_vertices_fail_before_output(self, capsys, fmt):
+        code, out, err = invoke(capsys, "resolve", "--hn",
+                                "6/4,2/99999999999999999999999", *fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_too_many_vertices_write_no_file(self, capsys, tmp_path):
+        target = tmp_path / "q.dot"
+        code, _, err = invoke(capsys, "resolve", "--hn",
+                              "6/4,2/99999999999999999999999", "--dot", str(target))
+        assert code == 2 and err.startswith("error: ")
+        assert not target.exists()
 
 
 class TestFamily:
@@ -392,6 +444,14 @@ class TestJsonWriter:
     ])
     def test_fixtures(self, value):
         assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("odd", ['"', "\\", "\x01", "\x7f", "\u00e9", "a\nb"])
+    @pytest.mark.parametrize("at", [0, 20, 40])
+    def test_one_string_to_escape_among_plain_ones(self, odd, at):
+        plain = [str(k) for k in range(-20, 20)]
+        value = plain[:at] + [odd] + plain[at:]
+        assert _json_text(value) == json.dumps(value, indent=2)
+        assert _json_text({"k": value}) == json.dumps({"k": value}, indent=2)
 
     @pytest.mark.parametrize("argv", [
         ("invariants", "--hn", "10001/2", "--json"),

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import cuspforge
+from cuspforge import divisor
 from cuspforge.divisor import (
     CHAIN,
     Chain,
@@ -217,9 +218,53 @@ class TestDiscriminant:
     def test_empty_tree(self):
         assert discriminant(WeightedTree((), ())) == 1
 
-    @given(chains(min_size=0, max_size=12, low=-3, high=9))
-    def test_chain_matches_continuant_oracle(self, a):
+    @given(chains(min_size=0, max_size=12, low=-3, high=9),
+           st.integers(0, 40), st.integers(0, 40), st.integers(0, 40), st.integers(0, 12))
+    def test_chain_matches_continuant_oracle(self, a, head, middle, tail, cut):
         assert discriminant(a) == continuant_oracle(a.entries)
+        # long runs of 2 at both ends and inside, each read as one edge
+        cut = min(cut, len(a))
+        long = Chain((2,) * head + a.entries[:cut] + (2,) * middle
+                     + a.entries[cut:] + (2,) * tail)
+        assert discriminant(long) == continuant_oracle(long.entries)
+        assert is_negative_definite(long) == sylvester_definite_oracle(long.to_tree())
+
+    def test_long_chain_of_twos_is_one_edge(self):
+        # 2^k, 3, 2^k: read as three vertices, not 2k + 1
+        k = 100_000
+        a = Chain((2,) * k + (3,) + (2,) * k)
+        t0 = time.process_time()
+        d, definite = discriminant(a), is_negative_definite(a)
+        assert time.process_time() - t0 < 0.1
+        assert d == continuant_oracle(a.entries) and definite
+
+
+class TestOnePass:
+    """discriminant and is_negative_definite share one pass per tree."""
+
+    def test_one_pass_per_tree(self, monkeypatch):
+        calls = []
+        real = divisor._tree_determinants
+        monkeypatch.setattr(divisor, "_tree_determinants",
+                            lambda t: calls.append(t) or real(t))
+        t = WeightedTree((-2, -1, -3, -2), ((0, 1), (1, 2), (1, 3)))
+        assert (discriminant(t), is_negative_definite(t)) == (-4, False)
+        assert (discriminant(t), is_negative_definite(t)) == (-4, False)
+        assert calls == [t]
+        res = resolution_graph(standardize(parse_hn("6/4,2/3")))
+        assert (discriminant(res.tree), is_negative_definite(res.tree)) == (1, True)
+        assert len(calls) == 2
+
+    @given(weighted_trees(wlow=-4, whigh=0))
+    def test_pickled_tree_answers_both(self, t):
+        answers = (discriminant(t), is_negative_definite(t))
+        hash(t)
+        u = pickle.loads(pickle.dumps(t))
+        assert (discriminant(u), is_negative_definite(u)) == answers
+        assert u == t and hash(u) == hash(t)
+        fresh = WeightedTree(t.weights, t.edges)
+        assert fresh == u and hash(fresh) == hash(u)
+        assert (discriminant(fresh), is_negative_definite(fresh)) == answers
 
 
 class TestNegativeDefinite:
@@ -660,6 +705,24 @@ class TestRunForm:
             run._replace(end=e) for run, e in zip(res.runs, ends)))
         assert altered.invariants() == (1, 2, 1, 67, False)
         assert not is_negative_definite(altered.tree)
+
+    @settings(max_examples=60)
+    @given(resolution_corpus_hn())
+    def test_edge_walk_is_sorted_tree_order(self, s):
+        res = resolution_graph(s)
+        tree, _, _ = simulate_resolution(s.pairs)
+        walk = [(a + i, b + i) for a, b, n in res._edge_walk() for i in range(n)]
+        assert walk == list(tree.edges)
+        assert len(res) == len(tree)
+        assert "tree" not in res.__dict__
+
+    def test_length_past_an_index(self):
+        res = resolution_graph(parse_hn("6/4,2/99999999999999999999999"))
+        assert res.c_vertex > sys.maxsize
+        with pytest.raises(OverflowError):
+            len(res)
+        with pytest.raises(OverflowError):
+            next(divisor._dot_pieces(res))
 
     def test_tree_expanded_only_on_demand(self):
         res = resolution_graph(standardize(parse_hn("6/4,2/3")))

@@ -127,3 +127,12 @@ def test_family_formulas_take_every_parameter():
              if len(inspect.signature(getattr(family, field)).parameters)
              != len(family.names)]
     assert found == []
+
+
+def test_cli_never_expands_a_resolution():
+    # resolve prints from the run form; `.tree` would hold one vertex per blowup
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "tree"]
+    assert found == []
