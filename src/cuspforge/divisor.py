@@ -25,6 +25,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import groupby
 from math import gcd
+from operator import index
 from typing import NamedTuple, Union
 
 from .errors import (
@@ -209,13 +210,21 @@ class Chain:
     """A linear dual graph [a1,...,ar]; entry a_i is minus the weight.
 
     Equality ignores orientation, matching the convention that a chain and
-    its reversal denote the same divisor.
+    its reversal denote the same divisor.  Entries must be integers: 2.7 is
+    refused, not rounded.
     """
 
     entries: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(a) for a in self.entries))
+        object.__setattr__(self, "entries", tuple(map(index, self.entries)))
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> "Chain":
+        """A chain whose entries are known to be a tuple of ints."""
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "entries", entries)
+        return chain
 
     @classmethod
     def from_runs(cls, items) -> "Chain":
@@ -232,7 +241,7 @@ class Chain:
         while i < len(seq):
             item = seq[i]
             if isinstance(item, tuple):
-                v, n = int(item[0]), int(item[1])
+                v, n = index(item[0]), index(item[1])
                 if n == -1:
                     if v != 2:
                         raise ValueError(f"negative run count on value {v}")
@@ -246,15 +255,15 @@ class Chain:
                     raise ValueError(f"negative run count {n}")
                 flat.extend([v] * n)
             else:
-                flat.append(int(item))
+                flat.append(index(item))
             i += 1
-        return cls(tuple(flat))
+        return cls._trusted(tuple(flat))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def reverse(self) -> "Chain":
-        return Chain(tuple(reversed(self.entries)))
+        return Chain._trusted(self.entries[::-1])
 
     def to_tree(self) -> WeightedTree:
         return WeightedTree._trusted(
@@ -410,7 +419,8 @@ def star_concat(a: Chain, b: Chain) -> Chain:
     """[a1,...,a_{r-1}, a_r + b1 - 1, b2,...,b_s]; associative, [1] is neutral."""
     if not a.entries or not b.entries:
         raise ValueError("star concatenation needs nonempty chains")
-    return Chain(a.entries[:-1] + (a.entries[-1] + b.entries[0] - 1,) + b.entries[1:])
+    return Chain._trusted(
+        a.entries[:-1] + (a.entries[-1] + b.entries[0] - 1,) + b.entries[1:])
 
 
 def adjoint(a: Chain) -> Chain:
@@ -425,7 +435,7 @@ def adjoint(a: Chain) -> Chain:
     for e in reversed(a.entries[:-1]):
         out[-1] += 1
         out += [2] * (e - 2)
-    return Chain(tuple(out))
+    return Chain._trusted(tuple(out))
 
 
 def blow_up(t: WeightedTree, site) -> WeightedTree:
@@ -832,7 +842,13 @@ def _resolve(hn: HNSequence) -> MarkedResolution:
         big, small = max(a, b), min(a, b)
         while True:
             q, r = divmod(big, small)
-            mult.append((small, q))
+            # as in hn_to_multiplicity: a pair with p >= c starts on the
+            # previous pair's last value; merged, the runs are a valid full
+            # multiplicity sequence
+            if mult and mult[-1][0] == small:
+                mult[-1] = (small, mult[-1][1] + q)
+            else:
+                mult.append((small, q))
             if moving >= 0:
                 ends[moving] -= 1
                 links.append((runs[moving].newest, size))
@@ -852,7 +868,7 @@ def _resolve(hn: HNSequence) -> MarkedResolution:
         runs=tuple(Run(run.first, run.length, end) for run, end in zip(runs, ends)),
         links=tuple(links),
         c_vertex=size - 1,
-        mult=MultiplicitySequence.from_runs(mult, FULL),
+        mult=MultiplicitySequence._trusted(tuple(mult), FULL),
         hn=hn,
     )
 
@@ -906,13 +922,13 @@ def hn_chain_identities(c: int, p: int) -> ChainIdentityReport:
     return ChainIdentityReport(
         c=c,
         p=p,
-        q_chain=Chain(b_side[::-1] + (1,) + a_side),
+        q_chain=Chain._trusted(b_side[::-1] + (1,) + a_side),
         a_side=a_side,
         b_side=b_side,
-        d_a=discriminant(Chain(a_side)),
-        d_b=discriminant(Chain(b_side)),
-        d_a_trunc=discriminant(Chain(a_side[:-1])),
-        d_b_trunc=discriminant(Chain(b_side[:-1])),
+        d_a=discriminant(Chain._trusted(a_side)),
+        d_b=discriminant(Chain._trusted(b_side)),
+        d_a_trunc=discriminant(Chain._trusted(a_side[:-1])),
+        d_b_trunc=discriminant(Chain._trusted(b_side[:-1])),
     )
 
 

@@ -38,8 +38,10 @@ class HNPair:
     p: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.c, int) or not isinstance(self.p, int):
-            raise TypeError("HN pair entries must be integers")
+        for v in (self.c, self.p):
+            # bool is an int subclass, but True/2 is no pair
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError(f"HN pair entries must be integers, got {type(v).__name__}")
         if self.c < 1 or self.p < 1:
             raise ValueError(f"HN pair entries must be >= 1, got ({self.c}/{self.p})")
 
@@ -68,12 +70,23 @@ class HNSequence:
         if self.flavor not in (STANDARD, RAW):
             raise ValueError(f"unknown flavor {self.flavor!r}")
 
+    @classmethod
+    def _trusted(cls, pairs: tuple[HNPair, ...], flavor: str) -> "HNSequence":
+        """A sequence known to be well formed: a non-empty tuple of HNPair, a known flavor."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "pairs", pairs)
+        object.__setattr__(seq, "flavor", flavor)
+        return seq
+
     @property
     def h(self) -> int:
         """Number of pairs."""
         return len(self.pairs)
 
     def with_flavor(self, flavor: str) -> "HNSequence":
+        """This sequence under another flavor; itself, with its report, when the flavor matches."""
+        if flavor == self.flavor:
+            return self
         return HNSequence(self.pairs, flavor)
 
     @cached_property
@@ -138,6 +151,11 @@ class ValidationReport:
         return "; ".join(v.message for v in self.violations)
 
 
+# every passing report is this one object: a sequence that keeps its report
+# costs one reference, not a report of its own
+_PASS = ValidationReport(True, ())
+
+
 def validate(seq: HNSequence) -> ValidationReport:
     """Check the axioms of the sequence's declared flavor.
 
@@ -181,7 +199,7 @@ def _check_axioms(seq: HNSequence) -> ValidationReport:
                     "strict_decrease", j + 1,
                     f"c{j + 1} = {pairs[j].c} <= c{j + 2} = {c_next}"))
 
-    return ValidationReport(not bad, tuple(bad))
+    return ValidationReport(False, tuple(bad)) if bad else _PASS
 
 
 def require_valid(seq: HNSequence) -> None:
@@ -198,9 +216,12 @@ def standardize(seq: HNSequence) -> HNSequence:
     ``(x/x+y)`` at interior positions; rule R2 (head merge) replaces the
     leading ``(c1/p1)(p1/y)`` with ``p1 | c1`` by ``((c1+y)/p1)``.  R1 is
     swept right-to-left, then R2 applied once, until fixpoint.  Every rewrite
-    shortens the list, so the loop terminates.  Idempotent on standard input.
+    shortens the list, so the loop terminates.  Idempotent on standard input:
+    a valid standard sequence, which the standard axioms already show to be
+    chain-consistent, comes back as itself.
     """
-    require_valid(seq.with_flavor(RAW))
+    if seq.flavor != STANDARD or not validate(seq).ok:
+        require_valid(seq.with_flavor(RAW))
     pairs = list(seq.pairs)
     while True:
         changed = False
@@ -216,7 +237,10 @@ def standardize(seq: HNSequence) -> HNSequence:
             changed = True
         if not changed:
             break
-    out = HNSequence(tuple(pairs), STANDARD)
+    if seq.flavor == STANDARD and len(pairs) == seq.h:
+        out = seq   # no rewrite happened: the same pairs, and the same report
+    else:
+        out = HNSequence._trusted(tuple(pairs), STANDARD)
     report = validate(out)
     if not report.ok:
         raise NotReducible(
@@ -254,4 +278,4 @@ def expand_low_p(seq: HNSequence) -> HNSequence:
                 out.append(HNPair(pair.c, r))
         else:
             out.append(pair)
-    return HNSequence(tuple(out), RAW)
+    return HNSequence._trusted(tuple(out), RAW)

@@ -62,6 +62,14 @@ class MultiplicitySequence:
             raise ValueError("full multiplicity sequence must end in 1")
 
     @classmethod
+    def _trusted(cls, runs: tuple[tuple[int, int], ...], form: str) -> "MultiplicitySequence":
+        """A sequence known to be valid: merged (int, int) runs that suit `form`."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "runs", runs)
+        object.__setattr__(seq, "form", form)
+        return seq
+
+    @classmethod
     def from_entries(cls, entries: Iterable[int], form: str = REDUCED) -> "MultiplicitySequence":
         return cls(_merge_runs((int(e), 1) for e in entries), form)
 
@@ -88,7 +96,7 @@ class MultiplicitySequence:
         runs = self.runs
         if runs and runs[-1][0] == 1:
             runs = runs[:-1]
-        return MultiplicitySequence(runs, REDUCED)
+        return MultiplicitySequence._trusted(runs, REDUCED)
 
     def full(self) -> "MultiplicitySequence":
         """Append the trailing 1-run; its length is the last entry above 1."""
@@ -96,7 +104,7 @@ class MultiplicitySequence:
             return self
         if not self.runs:
             raise NotRealizable("a smooth point has no full multiplicity sequence")
-        return MultiplicitySequence(self.runs + ((1, self.runs[-1][0]),), FULL)
+        return MultiplicitySequence._trusted(self.runs + ((1, self.runs[-1][0]),), FULL)
 
     def total(self) -> int:
         return sum(v * n for v, n in self.runs)
@@ -329,7 +337,9 @@ def hn_to_multiplicity(seq: HNSequence, form: str = REDUCED) -> MultiplicitySequ
 
     Each pair (c/p) contributes the quotient-run sequence of the Euclidean
     algorithm on (max, min); the gcd-chain law makes consecutive pairs'
-    contributions join into one non-increasing sequence.
+    contributions join into one non-increasing sequence, whose only equal
+    neighbours are a pair's last value and the next pair's first, merged
+    here.  Terminal coprimality ends it in 1, so it is a valid full sequence.
     """
     require_valid(seq)
     runs: list[tuple[int, int]] = []
@@ -337,11 +347,14 @@ def hn_to_multiplicity(seq: HNSequence, form: str = REDUCED) -> MultiplicitySequ
         a, b = max(pair.c, pair.p), min(pair.c, pair.p)
         while True:
             q, r = divmod(a, b)
-            runs.append((b, q))
+            if runs and runs[-1][0] == b:
+                runs[-1] = (b, runs[-1][1] + q)
+            else:
+                runs.append((b, q))
             if r == 0:
                 break
             a, b = b, r
-    full = MultiplicitySequence.from_runs(runs, FULL)
+    full = MultiplicitySequence._trusted(tuple(runs), FULL)
     return full if form == FULL else full.reduced()
 
 
@@ -377,7 +390,7 @@ def multiplicity_to_standard_hn(mult: MultiplicitySequence) -> HNSequence:
         pairs.append(HNPair(g, p_next))
         prev = i
 
-    seq = HNSequence(tuple(pairs), STANDARD)
+    seq = HNSequence._trusted(tuple(pairs), STANDARD)
     report = validate(seq)
     if not report.ok:
         raise NotRealizable(
@@ -406,7 +419,7 @@ def puiseux_char_to_standard_hn(char: PuiseuxCharacteristic) -> HNSequence:
     for i in range(2, len(beta)):
         c_i = gcd(pairs[-1].c, pairs[-1].p)
         pairs.append(HNPair(c_i, beta[i] - beta[i - 1]))
-    seq = HNSequence(tuple(pairs), STANDARD)
+    seq = HNSequence._trusted(tuple(pairs), STANDARD)
     report = validate(seq)
     if not report.ok:
         raise NotStandard(
@@ -468,7 +481,7 @@ def hn_from_zariski(pairs: PairList) -> HNSequence:
     hn_pairs = [HNPair(as_[0] * suffix[1], bs[0] * suffix[1])]
     for k in range(1, h):
         hn_pairs.append(HNPair(suffix[k], as_[k] * suffix[k + 1]))
-    seq = HNSequence(tuple(hn_pairs), STANDARD)
+    seq = HNSequence._trusted(tuple(hn_pairs), STANDARD)
     report = validate(seq)
     if not report.ok:
         raise Inconsistent(

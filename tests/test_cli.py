@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -282,6 +283,19 @@ class TestFamily:
                                   "--max-degree", "5", "--audit", *extra)
             assert code == 1
             assert "FAILED" in out or '"audit_ok": false' in out
+
+
+class TestGoldenOutput:
+    def test_enumerate_audit_to_degree_80(self):
+        # the whole text of the benchmark command, byte for byte
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(["family", "enumerate", "--max-degree", "80", "--audit"])
+        assert code == 0
+        text = out.getvalue()
+        assert text.count("  audit ok\n") == 2984
+        assert text.endswith("\n2984 curves with degree <= 80\n")
+        assert hashlib.md5(text.encode()).hexdigest() == "a63379b2626076b2eaaa8c3b142dd808"
 
 
 class TestVerify:

@@ -159,6 +159,18 @@ class TestChain:
         with pytest.raises(ValueError, match="followed by"):
             Chain.from_runs([5, (2, -1), 4])
 
+    def test_entries_must_be_integers(self):
+        # 2.7 is refused, not truncated to 2
+        with pytest.raises(TypeError):
+            Chain((2.7, 3))
+        with pytest.raises(TypeError):
+            Chain(("2", 3))
+        with pytest.raises(TypeError):
+            Chain.from_runs([(2.5, 1), 3])
+        with pytest.raises(TypeError):
+            Chain.from_runs([(2, 1.0), 3])
+        assert Chain([2, 3]).entries == (2, 3)
+
     def test_to_tree(self):
         t = ch(2, 3).to_tree()
         assert t.weights == (-2, -3)
@@ -763,6 +775,17 @@ class TestChainIdentities:
             hn_chain_identities(4, 6)
         with pytest.raises(NotCoprime):
             hn_chain_identities(6, 4)
+
+    def test_long_single_pair(self):
+        # a side holds 500,000 entries; no step may convert them one by one
+        t0 = time.process_time()
+        rep = hn_chain_identities(10**6 + 1, 2)
+        assert time.process_time() - t0 < 0.1
+        assert rep.ok
+        assert rep.a_side == (3,) + (2,) * 499999
+        assert rep.b_side == (2,)
+        assert (rep.d_a, rep.d_b, rep.d_a_trunc, rep.d_b_trunc) == (10**6 + 1, 2, 10**6 - 1, 1)
+        assert rep.q_chain == Chain((2, 1) + rep.a_side)
 
     def test_random_coprime(self, rng):
         from math import gcd

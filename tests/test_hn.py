@@ -57,6 +57,17 @@ class TestParsing:
         with pytest.raises(ValueError):
             HNSequence((HNPair(3, 2),), "fancy")
 
+    def test_bool_entries_rejected(self):
+        # bool is an int subclass: True/2 once printed as "True/2"
+        with pytest.raises(TypeError, match="bool"):
+            HNPair(True, 2)
+        with pytest.raises(TypeError, match="bool"):
+            HNSequence((HNPair(5, True),))
+
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(TypeError, match="float"):
+            HNPair(5.0, 2)
+
 
 class TestValidation:
     def test_standard_ok(self):

@@ -136,3 +136,46 @@ def test_cli_never_expands_a_resolution():
     found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "tree"]
     assert found == []
+
+
+def _function_nodes(path: pathlib.Path):
+    """Qualified name ("f" or "Class.f") and node of every function in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef))
+
+
+def _trusted_calls(node: ast.AST) -> list[int]:
+    """Lines under node that name a `_trusted` constructor."""
+    return [n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr == "_trusted"]
+
+
+# data enters the package here, so each of these validates in full
+_VALIDATING = {
+    "hn.py": {"parse_hn", "HNSequence.from_json_obj", "HNSequence.__post_init__",
+              "HNPair.__post_init__"},
+    "invariants.py": {"parse_multiplicity", "MultiplicitySequence.from_entries",
+                      "MultiplicitySequence.from_runs", "MultiplicitySequence.__post_init__"},
+    "divisor.py": {"Chain.__post_init__"},
+    "families.py": {"expected_reduced_multiplicities"},
+}
+
+
+def test_boundaries_never_trust():
+    # `_trusted` skips validation; the CLI and the public parsers and
+    # constructors hand it nothing
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{line}" for line in _trusted_calls(cli)]
+    seen = set()
+    for file, names in _VALIDATING.items():
+        for name, node in _function_nodes(PACKAGE / file):
+            if name in names:
+                seen.add((file, name))
+                found += [f"{file}:{line} {name}" for line in _trusted_calls(node)]
+    assert found == []
+    assert seen == {(file, name) for file, names in _VALIDATING.items() for name in names}

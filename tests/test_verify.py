@@ -263,6 +263,69 @@ class TestFullAudit:
         assert str(by_name["cusp2_table_multiplicities"].rhs) == "2,2,2,2"
 
 
+CUSP_CHECKS = ("standard_valid", "standardize_idempotent", "raw_standardizes_to",
+               "multiplicity_round_trip", "resolution_unique_minus_one",
+               "resolution_c_not_tip", "resolution_branching_count",
+               "resolution_discriminant", "resolution_negative_definite",
+               "resolution_multiplicities")
+
+
+class TestFailingRecords:
+    """Every check keeps its name, its place and its verdict on faulty records."""
+
+    def names(self, cusps, table):
+        names = [f"cusp{j}_{check}" for j in range(1, cusps + 1) for check in CUSP_CHECKS]
+        if table:
+            names += [f"cusp{j}_table_multiplicities" for j in range(1, cusps + 1)]
+        return names + ["hn_equation_a", "hn_equation_b", "hn_equation_c"]
+
+    def test_corrupted_family_records(self):
+        g = generate(FamilySpec("G", (3,)))
+        a = generate(FamilySpec("A", (2, 2, 1)))
+        cases = [
+            (CurveRecord(g.degree + 1, g.gamma, g.cusps, g.family),
+             ["hn_equation_a", "hn_equation_b", "hn_equation_c"]),
+            (CurveRecord(g.degree, g.gamma + 1, g.cusps, g.family),
+             ["hn_equation_a", "hn_equation_b"]),
+            (CurveRecord(a.degree, a.gamma, g.cusps, a.family),
+             ["cusp1_table_multiplicities", "cusp2_table_multiplicities",
+              "hn_equation_a", "hn_equation_b", "hn_equation_c", "kkd_nonnegative"]),
+        ]
+        for record, failed in cases:
+            rep = full_audit(record)
+            assert [c.name for c in rep.checks] == self.names(2, table=True) + [
+                "E2_two_cusp_bound", "E2_general_bound", "kkd_nonnegative"]
+            assert [c.name for c in rep.failed()] == failed
+
+    def test_cusp_checks_work_on_their_subject(self):
+        # a raw sequence held as its own standard form fails idempotence and
+        # the round trip; a wrong standard form fails raw_standardizes_to
+        raw = parse_hn("4/2,2/1")
+        cases = [
+            (((raw, raw),),
+             [("cusp1_standardize_idempotent", "5/2", "4/2,2/1"),
+              ("cusp1_raw_standardizes_to", "5/2", "4/2,2/1"),
+              ("cusp1_multiplicity_round_trip", "5/2", "4/2,2/1"),
+              ("cusp1_resolution_branching_count", 0, 1),
+              ("hn_equation_a", 14, 6), ("hn_equation_b", 26, 10),
+              ("hn_equation_c", 12, 4), ("E2_single_cusp_bound", -1, -2)]),
+            (((parse_hn("7/3"), parse_hn("6/4,2/3", STANDARD)),),
+             [("cusp1_raw_standardizes_to", "7/3", "6/4,2/3"),
+              ("hn_equation_a", 14, 12), ("hn_equation_b", 26, 30),
+              ("hn_equation_c", 12, 18), ("E2_single_cusp_bound", -1, -2)]),
+        ]
+        for cusps, failed in cases:
+            rep = full_audit(CurveRecord(5, 1, cusps))
+            assert [c.name for c in rep.checks] == self.names(1, table=False) + [
+                "E2_single_cusp_bound", "E2_general_bound", "kkd_nonnegative"]
+            assert [(c.name, c.lhs, c.rhs) for c in rep.failed()] == failed
+
+    def test_declared_standard_but_not_standard_is_refused(self):
+        record = CurveRecord(5, 1, ((parse_hn("4/2,2/1"), parse_hn("4/2,2/1", STANDARD)),))
+        with pytest.raises(ValueError, match="p1 = 2 divides c1 = 4"):
+            full_audit(record)
+
+
 class TestAuditScaling:
     def test_huge_family_parameter(self):
         # the resolution checks cost O(#Euclidean quotients), not O(gamma)
