@@ -16,6 +16,14 @@ computing its audited invariants cost O(#quotients) integer operations,
 however large the quotients.  The tree with one vertex per blowup is
 expanded only for callers that ask for a `WeightedTree`, never for output:
 DOT text and the CLI are written from the runs in bounded pieces.
+
+Determinants read one junction form, whatever the divisor: a weight list
+and a list of edges (a, b, k), where k counts the (-2)-curves that the
+edge stands for.  A `WeightedTree` gives its own edges with k = 0, a
+`Chain` its tips and entries other than 2 with each run of 2s between
+them as one edge, and a `MarkedResolution` the two ends of each run with
+the run's inner chain as one edge, plus its links.  `_subtree_determinants`
+is the only code that turns the form into adjacency.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from heapq import heappop, heappush
 from itertools import groupby
 from math import gcd
 from operator import index
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import (
     EntryBelowTwo,
@@ -57,13 +65,13 @@ class WeightedTree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(int(w) for w in self.weights)
+        weights = tuple(map(index, self.weights))
         object.__setattr__(self, "weights", weights)
         n = len(weights)
         seen = set()
         norm = []
         for a, b in self.edges:
-            a, b = int(a), int(b)
+            a, b = index(a), index(b)
             if a == b or not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"bad edge ({a},{b}) on {n} vertices")
             e = (a, b) if a < b else (b, a)
@@ -118,15 +126,19 @@ class WeightedTree:
             object.__setattr__(self, "_canon", cached)
         return cached
 
+    def _junction_form(self) -> tuple[tuple[int, ...], Iterable[tuple[int, int, int]]]:
+        """The tree in junction form: its own vertices and edges, k = 0."""
+        return self.weights, ((a, b, 0) for a, b in self.edges)
+
     def _determinants(self) -> tuple[int, bool]:
         """(discriminant, negative definite), from one pass kept on the tree.
 
-        Neither value depends on the root, so the one `_tree_determinants`
+        Neither value depends on the root, so the one `_subtree_determinants`
         pass serves `discriminant` and `is_negative_definite` alike.
         """
         cached = self.__dict__.get("_dets")
         if cached is None:
-            cached = _verdict(_tree_determinants(self)[2])
+            cached = _verdict(_subtree_determinants(*self._junction_form(), 0)[2])
             object.__setattr__(self, "_dets", cached)
         return cached
 
@@ -271,6 +283,26 @@ class Chain:
             tuple((i, i + 1) for i in range(len(self.entries) - 1)),
         )
 
+    def _junction_form(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """The chain in junction form, in O(#vertices) Python steps.
+
+        The vertices are the two tips and every entry other than 2, in
+        order; each edge joins neighbouring vertices and carries the 2s
+        between them, which `groupby` counts run by run.
+        """
+        entries = self.entries
+        at = [0] if entries[:1] == (2,) else []     # positions of the vertices
+        i = 0
+        for a, group in groupby(entries):
+            count = len(list(group))
+            if a != 2:
+                at += range(i, i + count)
+            i += count
+        if i > 1 and entries[-1] == 2:
+            at.append(i - 1)
+        return ([-entries[p] for p in at],
+                [(v, v + 1, q - p - 1) for v, (p, q) in enumerate(zip(at, at[1:]))])
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Chain):
             return NotImplemented
@@ -290,16 +322,18 @@ def _as_tree(t: Divisor) -> WeightedTree:
     return t.to_tree() if isinstance(t, Chain) else t
 
 
-def _subtree_determinants(weight, adj, root: int):
-    """One leaf-to-root pass of subtree determinants over a rooted tree.
+def _subtree_determinants(weight, edges, root: int):
+    """One leaf-to-root pass of subtree determinants over a junction form.
 
-    Vertices are 0..n-1 and adj[v] lists pairs (u, k): a neighbour u of v
-    and the number k of (-2)-curves on the edge between them, so an edge
-    may stand for a run (k is 0 throughout a plain tree).  T_v is v's
-    subtree plus the k curves on v's edge to its parent, and t_v is its
-    curve next to the parent (v itself when k is 0).  Returns the order
-    (root first), the parents (-1 at the root), d(T_v) and d(T_v - t_v),
-    d being the determinant of minus the intersection matrix.
+    The junction form is the one format every divisor reaches this kernel
+    in: weights of vertices 0..n-1 and tree edges (a, b, k), where k counts
+    the (-2)-curves on the edge, so an edge may stand for a run (k is 0
+    throughout a plain tree).  Rooted at `root`, T_v is v's subtree plus the
+    k curves on v's edge to its parent, and t_v is its curve next to the
+    parent (v itself when k is 0).  Returns the order (root first), the
+    parents (-1 at the root), d(T_v), d(T_v - t_v), d being the determinant
+    of minus the intersection matrix, and the adjacency: adj[v] lists the
+    pairs (u, k) of v's edges, in edge order.
 
     Expanding along v gives -w_v * prod d(T_u) - sum_u d(T_u - t_u) *
     prod_{u' != u} d(T_u') over the children u, all in integers, so a zero
@@ -311,7 +345,11 @@ def _subtree_determinants(weight, adj, root: int):
     subtree and of each longer piece of the run form an arithmetic
     progression, positive throughout when both of its ends are.
     """
-    n = len(adj)
+    n = len(weight)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, k in edges:
+        adj[a].append((b, k))
+        adj[b].append((a, k))
     parent = [-1] * n
     gap = [0] * n       # k on the edge to the parent
     order = [root] if n else []
@@ -322,69 +360,23 @@ def _subtree_determinants(weight, adj, root: int):
                 parent[u] = v
                 gap[u] = k
                 order.append(u)
+    # Until v is reached, drop[v] is the product of its finished children's
+    # d(T_u) and sub[v] the sum of d(T_u - t) times the product of the other
+    # finished children; each child adds itself to its parent when done.
     sub = [0] * n       # d(T_v)
     drop = [1] * n      # d(T_v - t)
     for v in reversed(order):
-        # running product of the children's d(T_u), and the sum of d(T_u - t)
-        # times the product of the other children seen so far
-        prod, rest, p = 1, 0, parent[v]
-        for u, _ in adj[v]:
-            if u != p:
-                rest = rest * sub[u] + drop[u] * prod
-                prod *= sub[u]
-        s, d = -weight[v] * prod - rest, prod
+        d = drop[v]
+        s = -weight[v] * d - sub[v]
         k = gap[v]
         if k:
             s, d = (k + 1) * s - k * d, k * s - (k - 1) * d
         sub[v], drop[v] = s, d
-    return order, parent, sub, drop
-
-
-def _tree_determinants(t: WeightedTree):
-    """`_subtree_determinants` on a plain tree, rooted at vertex 0."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in t.weights]
-    for a, b in t.edges:
-        adj[a].append((b, 0))
-        adj[b].append((a, 0))
-    return _subtree_determinants(t.weights, adj, 0)
-
-
-def _chain_junctions(entries: tuple[int, ...]):
-    """A chain with every maximal run of 2s between two vertices as one edge.
-
-    The vertices are the two tips and every entry other than 2, in order,
-    each joined to the previous one by an edge carrying the number of
-    (-2)-curves between them: the form `_subtree_determinants` reads.
-    """
-    weight: list[int] = []
-    adj: list[list[tuple[int, int]]] = []
-    twos = 0
-
-    def vertex(a: int) -> None:
-        nonlocal twos
-        v = len(weight)
-        weight.append(-a)
-        adj.append([])
-        if v:
-            adj[v - 1].append((v, twos))
-            adj[v].append((v - 1, twos))
-        twos = 0
-
-    groups = [(a, len(list(g))) for a, g in groupby(entries)]
-    for i, (a, count) in enumerate(groups):
-        if a != 2:
-            for _ in range(count):
-                vertex(a)
-            continue
-        if i == 0:
-            vertex(2)
-            count -= 1
-        if i == len(groups) - 1 and count:
-            twos += count - 1
-            vertex(2)
-        else:
-            twos += count
-    return weight, adj
+        p = parent[v]
+        if p >= 0:
+            sub[p] = sub[p] * s + d * drop[p]
+            drop[p] *= s
+    return order, parent, sub, drop, adj
 
 
 def _verdict(sub: list[int]) -> tuple[int, bool]:
@@ -394,8 +386,7 @@ def _verdict(sub: list[int]) -> tuple[int, bool]:
 
 def _determinant_pair(t: Divisor) -> tuple[int, bool]:
     if isinstance(t, Chain):
-        weight, adj = _chain_junctions(t.entries)
-        return _verdict(_subtree_determinants(weight, adj, 0)[2])
+        return _verdict(_subtree_determinants(*t._junction_form(), 0)[2])
     return t._determinants()
 
 
@@ -564,7 +555,7 @@ def fiber_multiplicities(t: Divisor) -> tuple[int, ...]:
     tree = _as_tree(t)
     if not tree.weights:
         raise NotAFiber("empty divisor")
-    order, parent, sub, drop = _tree_determinants(tree)
+    order, parent, sub, drop, _ = _subtree_determinants(*tree._junction_form(), 0)
     if sub[0] != 0:
         raise NotAFiber(f"kernel dimension 0: discriminant {sub[0]} != 0")
     for v in order[1:]:
@@ -734,40 +725,36 @@ class MarkedResolution:
                 yield links[i][0], links[i][1], 1
                 i += 1
 
-    def _junctions(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    def _junction_form(self) -> tuple[list[int], list[tuple[int, int, int]]]:
         """The tree with every run interior contracted, numbered in id order.
 
         Its vertices are the oldest and newest vertex of each run, so the
-        (-1)-curve c_vertex, the newest of all, comes last.  Each has its
-        weight and its neighbours, given as (vertex, number of (-2)-curves
-        between them), the form `_subtree_determinants` reads.
+        (-1)-curve c_vertex, the newest of all, comes last.  The edges are
+        each run's inner chain, carrying its (-2)-curves, then the links.
         """
         weight: list[int] = []
-        adj: list[list[tuple[int, int]]] = []
+        edges: list[tuple[int, int, int]] = []
         index: dict[int, int] = {}
-        for run in self.runs:
-            if run.length > 1:
-                index[run.first] = len(weight)
+        for first, length, end in self.runs:
+            if length > 1:
+                index[first] = len(weight)
+                edges.append((len(weight), len(weight) + 1, length - 2))
                 weight.append(-2)
-                adj.append([(len(weight), run.length - 2)])
-            index[run.newest] = len(weight)
-            weight.append(run.end)
-            adj.append([(len(weight) - 2, run.length - 2)] if run.length > 1 else [])
-        for u, v in self.links:
-            adj[index[u]].append((index[v], 0))
-            adj[index[v]].append((index[u], 0))
-        return weight, adj
+            index[first + length - 1] = len(weight)
+            weight.append(end)
+        edges += [(index[u], index[v], 0) for u, v in self.links]
+        return weight, edges
 
     def invariants(self) -> ResolutionInvariants:
         """The audited values, in O(#runs) integer operations.
 
         Vertices inside runs have degree 2 and weight -2, so only run ends
         are counted; the determinants come from `_subtree_determinants`
-        over the run ends, rooted at the (-1)-curve.
+        over the junction form, rooted at the (-1)-curve.
         """
-        weight, adj = self._junctions()
+        weight, edges = self._junction_form()
         root = len(weight) - 1
-        sub = _subtree_determinants(weight, adj, root)[2]
+        _, _, sub, _, adj = _subtree_determinants(weight, edges, root)
         return ResolutionInvariants(
             minus_ones=sum(1 for run in self.runs if run.end == -1),
             curve_degree=len(adj[root]),
@@ -791,11 +778,11 @@ class MarkedResolution:
         Each side is read outward.  The side of larger discriminant comes
         first; on a tie, the side toward the tip with the smaller id.
         """
-        weight, adj = self._junctions()
+        weight, edges = self._junction_form()
+        root = len(weight) - 1
+        _, parent, sub, _, adj = _subtree_determinants(weight, edges, root)
         if any(len(nb) > 2 for nb in adj):
             raise ValueError("divisor is not a chain")
-        root = len(weight) - 1
-        _, parent, sub, _ = _subtree_determinants(weight, adj, root)
         sides = []
         for v, k in adj[root]:
             det, runs = sub[v], []

@@ -11,6 +11,7 @@ standardization, so there is a single code path per family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, NamedTuple
 
 from .errors import ParamOutOfDomain
@@ -127,7 +128,7 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.id not in _FAMILIES:
             raise ValueError(f"unknown family {self.id!r}")
-        params = tuple(int(v) for v in self.params)
+        params = tuple(map(index, self.params))
         object.__setattr__(self, "params", params)
         names = _FAMILIES[self.id].names
         if len(params) != len(names):
@@ -211,7 +212,7 @@ class CurveRecord:
     @classmethod
     def from_cusps(cls, degree, gamma, seqs, family=None) -> "CurveRecord":
         cusps = tuple((seq, standardize(seq)) for seq in seqs)
-        return cls(degree=int(degree), gamma=int(gamma), cusps=cusps, family=family)
+        return cls(degree=index(degree), gamma=index(gamma), cusps=cusps, family=family)
 
     @property
     def standard_cusps(self) -> tuple[HNSequence, ...]:

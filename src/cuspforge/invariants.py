@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from math import gcd
-from operator import sub
+from operator import index, sub
 from typing import Iterable, Iterator
 
 from .errors import Inconsistent, NotRealizable, NotStandard
@@ -47,7 +47,7 @@ class MultiplicitySequence:
     form: str = REDUCED
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", tuple((int(v), int(n)) for v, n in self.runs))
+        object.__setattr__(self, "runs", tuple((index(v), index(n)) for v, n in self.runs))
         if self.form not in (REDUCED, FULL):
             raise ValueError(f"unknown multiplicity form {self.form!r}")
         for v, n in self.runs:
@@ -71,11 +71,11 @@ class MultiplicitySequence:
 
     @classmethod
     def from_entries(cls, entries: Iterable[int], form: str = REDUCED) -> "MultiplicitySequence":
-        return cls(_merge_runs((int(e), 1) for e in entries), form)
+        return cls(_merge_runs((index(e), 1) for e in entries), form)
 
     @classmethod
     def from_runs(cls, runs: Iterable[tuple[int, int]], form: str = REDUCED) -> "MultiplicitySequence":
-        return cls(_merge_runs((int(v), int(n)) for v, n in runs), form)
+        return cls(_merge_runs((index(v), index(n)) for v, n in runs), form)
 
     def entries(self) -> tuple[int, ...]:
         out: list[int] = []
@@ -151,7 +151,7 @@ class PuiseuxCharacteristic:
     e: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        beta = tuple(int(b) for b in self.beta)
+        beta = tuple(map(index, self.beta))
         object.__setattr__(self, "beta", beta)
         if len(beta) < 2:
             raise ValueError("a Puiseux characteristic needs beta0 and at least beta1")
@@ -200,7 +200,7 @@ class PairList:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple((int(x), int(y)) for x, y in self.pairs))
+        object.__setattr__(self, "pairs", tuple((index(x), index(y)) for x, y in self.pairs))
         if self.kind not in (PUISEUX, ZARISKI):
             raise ValueError(f"unknown pair-list kind {self.kind!r}")
         if not self.pairs:
@@ -258,7 +258,7 @@ class Semigroup:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        gens = tuple(int(v) for v in self.generators)
+        gens = tuple(map(index, self.generators))
         object.__setattr__(self, "generators", gens)
         if not gens or any(v < 1 for v in gens):
             raise ValueError("generators must be positive integers")
@@ -391,6 +391,8 @@ def multiplicity_to_standard_hn(mult: MultiplicitySequence) -> HNSequence:
         prev = i
 
     seq = HNSequence._trusted(tuple(pairs), STANDARD)
+    # mult comes from outside, so the candidate is checked; the report stays
+    # on it, and hn_to_multiplicity's require_valid reads it again for free
     report = validate(seq)
     if not report.ok:
         raise NotRealizable(

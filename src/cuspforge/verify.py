@@ -8,6 +8,7 @@ multiplicity sequence is carried as itself and printed through str().
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Union
 
 from .divisor import resolution_graph
@@ -129,9 +130,11 @@ class FibrationLedger:
     chis: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigmas", tuple(int(s) for s in self.sigmas))
+        object.__setattr__(self, "h", index(self.h))
+        object.__setattr__(self, "nu", index(self.nu))
+        object.__setattr__(self, "sigmas", tuple(map(index, self.sigmas)))
         if self.chis is not None:
-            object.__setattr__(self, "chis", tuple(int(x) for x in self.chis))
+            object.__setattr__(self, "chis", tuple(map(index, self.chis)))
         if self.h < 1:
             raise ValueError(f"h = {self.h} must be >= 1")
         if self.nu < 0:

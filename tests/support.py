@@ -294,6 +294,21 @@ def resolution_invariants_oracle(tree: WeightedTree, c_vertex: int):
     )
 
 
+def expand_junctions(weights, edges) -> WeightedTree:
+    """The tree a junction form stands for.
+
+    Each edge (a, b, k) becomes a path from a to b through k new
+    (-2)-vertices.
+    """
+    weights = list(weights)
+    out: list[tuple[int, int]] = []
+    for a, b, k in edges:
+        path = [a, *range(len(weights), len(weights) + k), b]
+        weights += [-2] * k
+        out += zip(path, path[1:])
+    return WeightedTree(tuple(weights), tuple(out))
+
+
 def path_order(tree: WeightedTree) -> list[int]:
     """The vertices of a chain tree, read from its tip with the smaller id."""
     adj = tree.adjacency()

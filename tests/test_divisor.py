@@ -35,7 +35,7 @@ from cuspforge.divisor import (
     resolution_graph,
     star_concat,
 )
-from cuspforge.divisor import _contract_all, _tree_determinants
+from cuspforge.divisor import _contract_all, _subtree_determinants
 from cuspforge.errors import (
     CuspforgeError,
     EntryBelowTwo,
@@ -53,6 +53,7 @@ from support import (
     chains,
     continuant_oracle,
     contraction_order_oracle,
+    expand_junctions,
     gauss_jordan_kernel,
     induced_discriminant,
     negated_matrix,
@@ -256,13 +257,13 @@ class TestOnePass:
 
     def test_one_pass_per_tree(self, monkeypatch):
         calls = []
-        real = divisor._tree_determinants
-        monkeypatch.setattr(divisor, "_tree_determinants",
-                            lambda t: calls.append(t) or real(t))
+        real = divisor._subtree_determinants
+        monkeypatch.setattr(divisor, "_subtree_determinants",
+                            lambda weight, *rest: calls.append(weight) or real(weight, *rest))
         t = WeightedTree((-2, -1, -3, -2), ((0, 1), (1, 2), (1, 3)))
         assert (discriminant(t), is_negative_definite(t)) == (-4, False)
         assert (discriminant(t), is_negative_definite(t)) == (-4, False)
-        assert calls == [t]
+        assert calls == [t.weights]
         res = resolution_graph(standardize(parse_hn("6/4,2/3")))
         assert (discriminant(res.tree), is_negative_definite(res.tree)) == (1, True)
         assert len(calls) == 2
@@ -277,6 +278,29 @@ class TestOnePass:
         fresh = WeightedTree(t.weights, t.edges)
         assert fresh == u and hash(fresh) == hash(u)
         assert (discriminant(fresh), is_negative_definite(fresh)) == answers
+
+
+class TestJunctionForm:
+    """Each producer's junction form stands for its own divisor, vertex by vertex."""
+
+    @settings(max_examples=60)
+    @given(resolution_corpus_hn())
+    def test_resolution(self, s):
+        res = resolution_graph(s)
+        assert expand_junctions(*res._junction_form()) == res.tree
+
+    @given(chains(min_size=0, max_size=12, low=-3, high=9),
+           st.integers(0, 40), st.integers(0, 40), st.integers(0, 40), st.integers(0, 12))
+    def test_chain(self, a, head, middle, tail, cut):
+        # runs of 2 at both tips and inside, as in the continuant test
+        cut = min(cut, len(a))
+        for c in (a, Chain((2,) * head + a.entries[:cut] + (2,) * middle
+                           + a.entries[cut:] + (2,) * tail)):
+            assert expand_junctions(*c._junction_form()) == c.to_tree()
+
+    @given(weighted_trees())
+    def test_tree(self, t):
+        assert expand_junctions(*t._junction_form()) == t
 
 
 class TestNegativeDefinite:
@@ -303,7 +327,7 @@ class TestNegativeDefinite:
         WeightedTree((-2, -2, 0), ((0, 1), (1, 2))),
     ])
     def test_zero_subtree_determinant(self, tree):
-        assert 0 in _tree_determinants(tree)[2]
+        assert 0 in _subtree_determinants(*tree._junction_form(), 0)[2]
         assert discriminant(tree) == bareiss_det(negated_matrix(tree))
         assert not is_negative_definite(tree)
         assert not sylvester_definite_oracle(tree)

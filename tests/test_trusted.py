@@ -14,17 +14,21 @@ from hypothesis import assume, given, strategies as st
 import cuspforge.families as families
 import cuspforge.hn as hn
 import cuspforge.verify as verify
-from cuspforge.divisor import Chain, resolution_graph
+from cuspforge.divisor import Chain, WeightedTree, resolution_graph
 from cuspforge.errors import NotReducible
-from cuspforge.families import FamilySpec, generate
-from cuspforge.hn import RAW, STANDARD, HNPair, HNSequence, standardize, validate
+from cuspforge.families import CurveRecord, FamilySpec, generate
+from cuspforge.hn import RAW, STANDARD, HNPair, HNSequence, parse_hn, standardize, validate
 from cuspforge.invariants import (
     FULL,
+    PUISEUX,
     REDUCED,
     MultiplicitySequence,
+    PairList,
+    PuiseuxCharacteristic,
+    Semigroup,
     hn_to_multiplicity,
 )
-from cuspforge.verify import full_audit
+from cuspforge.verify import FibrationLedger, full_audit
 from support import chains, raw_hn_sequences, standard_hn_sequences
 
 any_hn = st.one_of(standard_hn_sequences(), raw_hn_sequences())
@@ -151,3 +155,33 @@ class TestValidationCount:
         # check gets the standard form back with its report
         assert {k: v / cusps for k, v in counts.items()} == dict(
             axioms=4, hn=1, mult=1, standardize=3)
+
+
+# Each public constructor and the place of one entry in it: with x = 2 the
+# call succeeds, and a non-integer x must raise TypeError, not truncate.
+INTEGER_SITES = {
+    "MultiplicitySequence value": lambda x: MultiplicitySequence(((x, 1),)),
+    "MultiplicitySequence count": lambda x: MultiplicitySequence(((3, x),)),
+    "MultiplicitySequence.from_runs value": lambda x: MultiplicitySequence.from_runs([(x, 1)]),
+    "MultiplicitySequence.from_runs count": lambda x: MultiplicitySequence.from_runs([(3, x)]),
+    "MultiplicitySequence.from_entries": lambda x: MultiplicitySequence.from_entries([3, x]),
+    "WeightedTree weight": lambda x: WeightedTree((-x, -2), ((0, 1),)),
+    "WeightedTree edge": lambda x: WeightedTree((-1, -2, -3), ((0, 1), (1, x))),
+    "FibrationLedger h": lambda x: FibrationLedger(x, 0, (2, 1)),
+    "FibrationLedger nu": lambda x: FibrationLedger(1, x - 2, (1,)),
+    "FibrationLedger sigma": lambda x: FibrationLedger(2, 0, (x - 1,)),
+    "FibrationLedger chi": lambda x: FibrationLedger(2, 0, (1,), (x,)),
+    "PuiseuxCharacteristic": lambda x: PuiseuxCharacteristic((x, 3)),
+    "Semigroup": lambda x: Semigroup((x, 3)),
+    "PairList": lambda x: PairList(PUISEUX, ((3, x),)),
+    "FamilySpec": lambda x: FamilySpec("G", (x,)),
+    "CurveRecord.from_cusps": lambda x: CurveRecord.from_cusps(x + 2, 1, [parse_hn("3/2")]),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+@pytest.mark.parametrize("x", [2.5, 2.0])
+def test_constructors_refuse_non_integers(site, x):
+    INTEGER_SITES[site](2)
+    with pytest.raises(TypeError):
+        INTEGER_SITES[site](x)
