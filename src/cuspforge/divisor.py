@@ -15,7 +15,9 @@ a chain of (-2)-curves ending in the newest curve, so building it and
 computing its audited invariants cost O(#quotients) integer operations,
 however large the quotients.  The tree with one vertex per blowup is
 expanded only for callers that ask for a `WeightedTree`, never for output:
-DOT text and the CLI are written from the runs in bounded pieces.
+DOT text and the CLI are written from the runs in bounded pieces.  The
+expanded tree reads its discriminant and definiteness from the run form,
+so checking them costs no second pass over its vertices.
 
 Determinants read one junction form, whatever the divisor: a weight list
 and a list of edges (a, b, k), where k counts the (-2)-curves that the
@@ -28,6 +30,7 @@ is the only code that turns the form into adjacency.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -102,11 +105,19 @@ class WeightedTree:
 
     @classmethod
     def _trusted(cls, weights: tuple[int, ...],
-                 edges: tuple[tuple[int, int], ...]) -> "WeightedTree":
-        """A tree known to be valid: int weights, sorted (a, b) edges with a < b."""
+                 edges: tuple[tuple[int, int], ...],
+                 dets: tuple[int, bool] | None = None) -> "WeightedTree":
+        """A tree known to be valid: int weights, sorted (a, b) edges with a < b.
+
+        `dets`, when given, is the tree's (discriminant, negative definite)
+        pair, already read off another form of the same divisor; it seeds
+        the cache of `_determinants`.
+        """
         tree = object.__new__(cls)
         object.__setattr__(tree, "weights", weights)
         object.__setattr__(tree, "edges", edges)
+        if dets is not None:
+            object.__setattr__(tree, "_dets", dets)
         return tree
 
     def __len__(self) -> int:
@@ -134,7 +145,8 @@ class WeightedTree:
         """(discriminant, negative definite), from one pass kept on the tree.
 
         Neither value depends on the root, so the one `_subtree_determinants`
-        pass serves `discriminant` and `is_negative_definite` alike.
+        pass serves `discriminant` and `is_negative_definite` alike.  A tree
+        expanded from a resolution has the pair already, from its run form.
         """
         cached = self.__dict__.get("_dets")
         if cached is None:
@@ -455,22 +467,40 @@ def blow_up(t: WeightedTree, site) -> WeightedTree:
 
 
 def blow_down(t: WeightedTree, v: int) -> WeightedTree:
-    """Contract a non-branching (-1)-vertex; later ids shift down by one."""
+    """Contract a non-branching (-1)-vertex; later ids shift down by one.
+
+    One pass over the sorted edges finds v's neighbours, in ascending
+    order, and shifts the other edges; the shift keeps their order, so only
+    the edge that joins the two neighbours needs inserting.
+    """
     n = len(t.weights)
     if not 0 <= v < n:
         raise ValueError(f"no vertex {v}")
     if t.weights[v] != -1:
         raise NotContractible(f"vertex {v} has weight {t.weights[v]}, not -1")
-    nbrs = sorted(u for e in t.edges if v in e for u in e if u != v)
+    nbrs: list[int] = []
+    edges: list[tuple[int, int]] = []
+    for e in t.edges:
+        a, b = e
+        if b < v:
+            edges.append(e)
+        elif b == v:
+            nbrs.append(a)
+        elif a == v:
+            nbrs.append(b)
+        elif a < v:
+            edges.append((a, b - 1))
+        else:
+            edges.append((a - 1, b - 1))
     if len(nbrs) > 2:
         raise NotContractible(f"vertex {v} is branching (degree {len(nbrs)})")
-    weights = [w + (1 if i in nbrs else 0) for i, w in enumerate(t.weights) if i != v]
-    edges = [e for e in t.edges if v not in e]
+    weights = list(t.weights)
+    for u in nbrs:
+        weights[u] += 1
+    del weights[v]
     if len(nbrs) == 2:
-        edges.append((nbrs[0], nbrs[1]))
-    remap = lambda x: x if x < v else x - 1
-    return WeightedTree._trusted(
-        tuple(weights), tuple(sorted((remap(a), remap(b)) for a, b in edges)))
+        insort(edges, tuple(u - 1 if u > v else u for u in nbrs))
+    return WeightedTree._trusted(tuple(weights), tuple(edges))
 
 
 def _contract_all(t: WeightedTree):
@@ -552,10 +582,18 @@ def fiber_multiplicities(t: Divisor) -> tuple[int, ...]:
     adjugate: x_root = d(T - root) and x_u = x_v * d(T_u - u) / d(T_u) for
     each child u of v, an exact division since d(T_u) divides x_v.
     """
-    tree = _as_tree(t)
+    return _fiber_pass(_as_tree(t))[0]
+
+
+def _fiber_pass(tree: WeightedTree):
+    """`fiber_multiplicities` of the tree, and the kernel's adjacency.
+
+    adj[v] lists the pairs (u, 0) of v's neighbours u, in ascending order,
+    since the tree's edges are sorted.
+    """
     if not tree.weights:
         raise NotAFiber("empty divisor")
-    order, parent, sub, drop, _ = _subtree_determinants(*tree._junction_form(), 0)
+    order, parent, sub, drop, adj = _subtree_determinants(*tree._junction_form(), 0)
     if sub[0] != 0:
         raise NotAFiber(f"kernel dimension 0: discriminant {sub[0]} != 0")
     for v in order[1:]:
@@ -567,7 +605,7 @@ def fiber_multiplicities(t: Divisor) -> tuple[int, ...]:
     for v in order[1:]:
         x[v] = x[parent[v]] // sub[v] * drop[v]
     g = gcd(*x)
-    return tuple(xi // g for xi in x)
+    return tuple(xi // g for xi in x), adj
 
 
 @dataclass(frozen=True)
@@ -577,11 +615,14 @@ class FiberReport:
     minus_one_vertices: tuple[int, ...]
 
 
-def _walk(adj: dict[int, tuple[int, ...]], v: int, prev: int) -> list[int]:
-    """The path from v away from prev, up to the first vertex not of degree 2."""
+def _walk(adj: list[list[tuple[int, int]]], v: int, prev: int) -> list[int]:
+    """The path from v away from prev, up to the first vertex not of degree 2.
+
+    adj is the kernel's adjacency of a plain tree: pairs (u, 0).
+    """
     path = [v]
     while len(adj[v]) == 2:
-        a, b = adj[v]
+        (a, _), (b, _) = adj[v]
         prev, v = v, b if a == prev else a
         path.append(v)
     return path
@@ -596,14 +637,13 @@ def classify_fiber(t: Divisor) -> FiberReport:
     non-branching; a chain with a unique (-1)-vertex must read [U,1,U*].
     """
     tree = _as_tree(t)
-    mu = fiber_multiplicities(tree)
-    adj = tree.adjacency()
+    mu, adj = _fiber_pass(tree)
     n = len(tree.weights)
     minus_ones = tuple(v for v, w in enumerate(tree.weights) if w == -1)
     for v in minus_ones:
         if len(adj[v]) >= 3:
             raise NotAFiber(f"(-1)-curve {v} is branching")
-    degrees = [len(adj[v]) for v in range(n)]
+    degrees = [len(nb) for nb in adj]
 
     if n == 1:
         return FiberReport(NONDEGENERATE, mu, minus_ones)
@@ -614,7 +654,7 @@ def classify_fiber(t: Divisor) -> FiberReport:
             if len(adj[m]) < 2:
                 raise NotAFiber("unique (-1)-curve sits at a tip of the chain")
             # U is read toward the (-1)-curve from the tip with the smaller id
-            first, second = sorted((_walk(adj, u, m) for u in adj[m]), key=lambda w: w[-1])
+            first, second = sorted((_walk(adj, u, m) for u, _ in adj[m]), key=lambda w: w[-1])
             before = tuple(-tree.weights[v] for v in reversed(first))
             after = tuple(-tree.weights[v] for v in second)
             try:
@@ -631,7 +671,7 @@ def classify_fiber(t: Divisor) -> FiberReport:
 
     if max(degrees) == 3 and degrees.count(3) == 1:
         center = degrees.index(3)
-        twigs = [_walk(adj, nb, center) for nb in adj[center]]
+        twigs = [_walk(adj, nb, center) for nb, _ in adj[center]]
         simple = [
             tw for tw in twigs
             if len(tw) == 1 and tree.weights[tw[0]] == -2 and mu[tw[0]] == 1
@@ -697,7 +737,12 @@ class MarkedResolution:
 
     @cached_property
     def tree(self) -> WeightedTree:
-        """The dual graph with one vertex per blowup; a tree by construction."""
+        """The dual graph with one vertex per blowup; a tree by construction.
+
+        The tree takes its discriminant and definiteness from the run form,
+        in O(#runs), so `discriminant` and `is_negative_definite` of it make
+        no second pass over its vertices.
+        """
         weights: list[int] = []
         for first, length, end in self.runs:
             weights += [-2] * (length - 1)
@@ -705,7 +750,8 @@ class MarkedResolution:
         edges: list[tuple[int, int]] = []
         for a, b, n in self._edge_walk():
             edges += zip(range(a, a + n), range(b, b + n))
-        return WeightedTree._trusted(tuple(weights), tuple(edges))
+        dets = _verdict(_subtree_determinants(*self._junction_form(), 0)[2])
+        return WeightedTree._trusted(tuple(weights), tuple(edges), dets)
 
     def _edge_walk(self):
         """The edges in sorted (a, b) order, a < b, as pieces (a, b, n).

@@ -20,7 +20,7 @@ from cuspforge.divisor import (
     is_negative_definite,
     star_concat,
 )
-from cuspforge.errors import EntryBelowTwo, NotAFiber
+from cuspforge.errors import EntryBelowTwo, NotAFiber, NotContractible
 from cuspforge.hn import HNPair, HNSequence, RAW, STANDARD, format_hn
 from cuspforge.invariants import FULL, MultiplicitySequence, PuiseuxCharacteristic
 
@@ -283,14 +283,18 @@ def resolution_invariants_oracle(tree: WeightedTree, c_vertex: int):
 
     Same order as ``ResolutionInvariants``: (-1)-curves, neighbours of the
     marked curve, branching vertices, discriminant, negative definiteness.
+    The determinants come from a vertex-by-vertex pass over a fresh copy of
+    the tree, since a tree expanded from a resolution carries the run
+    form's values.
     """
     adj = tree.adjacency()
+    fresh = WeightedTree(tree.weights, tree.edges)
     return (
         sum(1 for w in tree.weights if w == -1),
         len(adj[c_vertex]),
         sum(1 for nb in adj.values() if len(nb) >= 3),
-        discriminant(tree),
-        is_negative_definite(tree),
+        discriminant(fresh),
+        is_negative_definite(fresh),
     )
 
 
@@ -418,6 +422,25 @@ def chain_fiber_oracle(tree: WeightedTree) -> FiberReport:
                 f"chain fiber is not [U,1,U*]: adjoint of {before} is "
                 f"{star.entries}, found {after}")
     return FiberReport(CHAIN, mu, minus_ones)
+
+
+def blow_down_oracle(t: WeightedTree, v: int) -> WeightedTree:
+    """`blow_down` by scanning every edge for v's neighbours and re-sorting."""
+    n = len(t.weights)
+    if not 0 <= v < n:
+        raise ValueError(f"no vertex {v}")
+    if t.weights[v] != -1:
+        raise NotContractible(f"vertex {v} has weight {t.weights[v]}, not -1")
+    nbrs = sorted(u for e in t.edges if v in e for u in e if u != v)
+    if len(nbrs) > 2:
+        raise NotContractible(f"vertex {v} is branching (degree {len(nbrs)})")
+    weights = [w + (1 if i in nbrs else 0) for i, w in enumerate(t.weights) if i != v]
+    edges = [e for e in t.edges if v not in e]
+    if len(nbrs) == 2:
+        edges.append((nbrs[0], nbrs[1]))
+    remap = lambda x: x if x < v else x - 1
+    return WeightedTree(
+        tuple(weights), tuple(sorted((remap(a), remap(b)) for a, b in edges)))
 
 
 def contraction_order_oracle(tree: WeightedTree):

@@ -48,6 +48,7 @@ from cuspforge.invariants import FULL, hn_to_multiplicity
 from support import (
     adjoint_fold_oracle,
     bareiss_det,
+    blow_down_oracle,
     chain_fiber_oracle,
     chain_oracle,
     chains,
@@ -431,11 +432,32 @@ class TestBlowUpDown:
         for _ in range(300):
             t = random_tree(rng, rng.randint(1, 9), wlow=-3, whigh=1)
             built = [blow_up(t, random_site(rng, t)), Chain(tuple(-w for w in t.weights)).to_tree()]
-            built += [blow_down(t, v) for v in range(len(t))
-                      if t.weights[v] == -1 and len(t.adjacency()[v]) <= 2]
+            for v in range(len(t)):
+                if t.weights[v] == -1 and len(t.adjacency()[v]) <= 2:
+                    down, want = blow_down(t, v), blow_down_oracle(t, v)
+                    assert (down.weights, down.edges) == (want.weights, want.edges)
+                    built.append(down)
             for b in built:
                 rebuilt = WeightedTree(b.weights, b.edges)
                 assert (rebuilt.weights, rebuilt.edges) == (b.weights, b.edges)
+
+    def test_blow_down_matches_oracle_on_large_fiber(self):
+        t = random_fiber(random.Random(2000), 2000)
+        adj = t.adjacency()
+        eligible = [v for v in range(len(t)) if t.weights[v] == -1 and len(adj[v]) <= 2]
+        assert eligible
+        for v in eligible:
+            down, want = blow_down(t, v), blow_down_oracle(t, v)
+            assert (down.weights, down.edges) == (want.weights, want.edges)
+
+    @given(weighted_trees(wlow=-3, whigh=0), st.integers(0, 20))
+    def test_blow_down_outcome_matches_oracle(self, t, v):
+        # ineligible vertices too: the same error type and text
+        got, want = outcome(blow_down, t, v), outcome(blow_down_oracle, t, v)
+        if isinstance(want, WeightedTree):
+            assert (got.weights, got.edges) == (want.weights, want.edges)
+        else:
+            assert got == want
 
     def test_discriminant_invariant(self, rng):
         for _ in range(500):
@@ -726,6 +748,39 @@ class TestRunForm:
         assert (tuple(altered.invariants())
                 == resolution_invariants_oracle(altered.tree, res.c_vertex))
 
+    @settings(max_examples=60)
+    @given(resolution_corpus_hn(), st.data())
+    def test_expanded_tree_determinants(self, s, data):
+        # the run-form values the expanded tree carries, against a fresh
+        # rebuild's own pass and a pickle round trip, with any end weights
+        res = resolution_graph(s)
+        if data.draw(st.booleans()):
+            res = dataclasses.replace(res, runs=tuple(
+                run._replace(end=run.end + data.draw(st.integers(-3, 2)))
+                for run in res.runs))
+        tree, inv = res.tree, res.invariants()
+        seeded = (discriminant(tree), is_negative_definite(tree))
+        assert seeded == (inv.discriminant, inv.definite)
+        fresh = WeightedTree(tree.weights, tree.edges)
+        assert (discriminant(fresh), is_negative_definite(fresh)) == seeded
+        back = pickle.loads(pickle.dumps(tree))
+        assert (discriminant(back), is_negative_definite(back)) == seeded
+        assert (back.weights, back.edges) == (tree.weights, tree.edges)
+        # the tree's own junction form is still vertex by vertex
+        expanded = expand_junctions(*tree._junction_form())
+        assert (expanded.weights, expanded.edges) == (tree.weights, tree.edges)
+
+    def test_expanded_tree_makes_no_vertex_pass(self, monkeypatch):
+        sizes = []
+        real = divisor._subtree_determinants
+        monkeypatch.setattr(divisor, "_subtree_determinants",
+                            lambda weight, *rest: sizes.append(len(weight)) or real(weight, *rest))
+        res = resolution_graph(parse_hn("1000001/2"))
+        tree = res.tree
+        assert (discriminant(tree), is_negative_definite(tree)) == (1, True)
+        assert len(tree) == 500_002
+        assert sizes and max(sizes) <= 2 * len(res.runs)
+
     @given(standard_hn_sequences(max_h=1, cap=3000))
     def test_chain_matches_path_reading(self, s):
         res = resolution_graph(s)
@@ -741,6 +796,10 @@ class TestRunForm:
             run._replace(end=e) for run, e in zip(res.runs, ends)))
         assert altered.invariants() == (1, 2, 1, 67, False)
         assert not is_negative_definite(altered.tree)
+        # and by the vertex-by-vertex pass of a tree that carries no run-form values
+        fresh = WeightedTree(altered.tree.weights, altered.tree.edges)
+        assert "_dets" not in fresh.__dict__
+        assert not is_negative_definite(fresh)
 
     @settings(max_examples=60)
     @given(resolution_corpus_hn())
