@@ -17,7 +17,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from .divisor import _dot_pieces, _edge_texts, _spans, resolution_graph
+from .divisor import _dot_pieces, _edge_texts, resolution_graph
 from .errors import CuspforgeError
 from .families import (
     FAMILY_IDS,
@@ -30,6 +30,7 @@ from .hn import format_hn, parse_hn, standardize
 from .invariants import (
     ZARISKI,
     PairList,
+    _spans,
     cusp_record,
     hn_from_zariski,
     hn_to_multiplicity,
@@ -180,6 +181,18 @@ def _print_report(report: AuditReport) -> None:
 # ---------------------------------------------------------------- handlers
 
 
+def _invariants_json(record):
+    """`json.dumps(record.to_json_obj(), indent=2)` in pieces, the long lists piece by piece."""
+    pad = "\n  "
+    for i, (key, value) in enumerate(record._json_fields('",\n    "').items()):
+        yield ("," if i else "{") + pad + encode_basestring_ascii(key) + ": "
+        if isinstance(value, (str, list)):
+            yield _json_text(value, pad)
+        else:
+            yield from _json_list(('"' + piece + '"' for piece in value), pad)
+    yield "\n}\n"
+
+
 def _cmd_invariants(args: argparse.Namespace) -> int:
     if (args.hn is None) == (args.mult is None):
         raise ValueError("invariants needs exactly one of --hn or --mult")
@@ -188,22 +201,23 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     else:
         std = multiplicity_to_standard_hn(parse_multiplicity(args.mult))
     record = cusp_record(std)
-    obj = record.to_json_obj()
+    record.semigroup._members     # raises past an index, before any output
     if args.json:
-        _print_json(obj)
+        sys.stdout.writelines(_invariants_json(record))
         return 0
     # the text rows join the same decimal strings
+    fields = record._json_fields(",")
     _print_rows([
         ("hn", format_hn(record.hn)),
-        ("mult", ",".join(obj["mult_reduced"])),
+        ("mult", ",".join(fields["mult_reduced"])),
         ("char", record.char.to_text()),
         ("puiseux", record.puiseux.to_text()),
         ("zariski", record.zariski.to_text()),
-        ("semigroup", ",".join(obj["semigroup_generators"])),
-        ("gaps", ",".join(obj["gaps"])),
-        ("alexander", ",".join(obj["alexander_coeffs"])),
-        ("M", obj["M"]),
-        ("I", obj["I"]),
+        ("semigroup", ",".join(fields["semigroup_generators"])),
+        ("gaps", _joined(fields["gaps"], ",")),
+        ("alexander", _joined(fields["alexander_coeffs"], ",")),
+        ("M", fields["M"]),
+        ("I", fields["I"]),
     ])
     return 0
 

@@ -30,7 +30,7 @@ is the only code that turns the form into adjacency.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -46,14 +46,12 @@ from .errors import (
     NotCoprime,
 )
 from .hn import HNPair, HNSequence, RAW, standard_form
-from .invariants import FULL, MultiplicitySequence
+from .invariants import FULL, MultiplicitySequence, _spans
 
 NONDEGENERATE = "nondegenerate"
 CHAIN = "chain"
 SPECIAL_FORK = "special_fork"
 OTHER = "other"
-
-_PIECE = 1 << 14    # items per piece of streamed output
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,24 +444,28 @@ def blow_up(t: WeightedTree, site) -> WeightedTree:
 
     Outer: the site's weight drops by one.  Inner: the edge is replaced by
     the two edges through the new vertex and both endpoints drop by one.
-    Either way the discriminant of the tree is unchanged.
+    Either way the discriminant of the tree is unchanged.  The edges stay
+    sorted: bisection finds an inner site and places each new edge.
     """
     new = len(t.weights)
     weights = [*t.weights, -1]
+    edges = list(t.edges)
     if isinstance(site, int):
         if not 0 <= site < new:
             raise ValueError(f"no vertex {site}")
         weights[site] -= 1
-        edges = [*t.edges, (site, new)]
+        insort(edges, (site, new))
     else:
         a, b = site
         e = (a, b) if a < b else (b, a)
-        if e not in t.edges:
+        i = bisect_left(edges, e)
+        if edges[i:i + 1] != [e]:
             raise ValueError(f"no edge {e}")
-        weights[a] -= 1
-        weights[b] -= 1
-        edges = [x for x in t.edges if x != e] + [(e[0], new), (e[1], new)]
-    return WeightedTree._trusted(tuple(weights), tuple(sorted(edges)))
+        del edges[i]
+        for u in e:
+            weights[u] -= 1
+            insort(edges, (u, new))
+    return WeightedTree._trusted(tuple(weights), tuple(edges))
 
 
 def blow_down(t: WeightedTree, v: int) -> WeightedTree:
@@ -963,12 +965,6 @@ def hn_chain_identities(c: int, p: int) -> ChainIdentityReport:
         d_a_trunc=discriminant(Chain._trusted(a_side[:-1])),
         d_b_trunc=discriminant(Chain._trusted(b_side[:-1])),
     )
-
-
-def _spans(start: int, count: int):
-    """(start, count) cut into (first, size) pieces of at most _PIECE items."""
-    for first in range(start, start + count, _PIECE):
-        yield first, min(_PIECE, start + count - first)
 
 
 def _edge_texts(walk, mid: str, between: str):

@@ -106,10 +106,11 @@ class HNSequence:
 
     @classmethod
     def from_json_obj(cls, obj: Iterable, flavor: str = RAW) -> "HNSequence":
+        """Pairs of decimal strings or ints; other entries reach `HNPair`, which refuses them."""
         pairs = []
         for item in obj:
-            c, p = item
-            pairs.append(HNPair(int(c), int(p)))
+            c, p = (int(v) if isinstance(v, str) else v for v in item)
+            pairs.append(HNPair(c, p))
         return cls(tuple(pairs), flavor)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd
 from operator import index, sub
 from typing import Iterable, Iterator
@@ -33,6 +33,14 @@ FULL = "full"
 
 PUISEUX = "puiseux"
 ZARISKI = "zariski"
+
+_PIECE = 1 << 14    # items per piece of streamed output
+
+
+def _spans(start: int, count: int):
+    """(start, count) cut into (first, size) pieces of at most _PIECE items."""
+    for first in range(start, start + count, _PIECE):
+        yield first, min(_PIECE, start + count - first)
 
 
 @dataclass(frozen=True)
@@ -246,7 +254,8 @@ class Semigroup:
     listing and the Alexander polynomial read that table: one byte
     [k in S] for each 0 <= k <= conductor, built on first use from the
     b0 Apery elements with one C-level slice assignment each, so it costs
-    conductor + 1 bytes and O(b0) Python steps.
+    conductor + 1 bytes and O(b0) Python steps.  `_gap_texts` and
+    `_alexander_texts` write both as text from it, with no object per entry.
     """
 
     generators: tuple[int, ...]
@@ -293,12 +302,13 @@ class Semigroup:
 
         The Apery set is the b0 normal-form sums with a_0 = 0; below each
         element w lie the gaps w - b0, w - 2*b0, ... down to w mod b0.
+        Sized first: a conductor past an index raises OverflowError before the Apery list.
         """
+        table = bytearray(b"\x01") * (self.conductor + 1)
         b0 = self.generators[0]
         apery = [0]
         for b, _, n, _ in self._levels:
             apery = [w + a * b for a in range(n) for w in apery]
-        table = bytearray(b"\x01") * (self.conductor + 1)
         zeros = memoryview(bytes(self.conductor // b0 + 1))
         for w in apery:
             table[w % b0:w:b0] = zeros[:w // b0]
@@ -307,11 +317,27 @@ class Semigroup:
     @cached_property
     def gaps(self) -> frozenset[int]:
         """Complement in the naturals."""
-        return frozenset(self._sorted_gaps())
+        return frozenset(compress(range(self.conductor), self._members.translate(_NOT)))
 
-    def _sorted_gaps(self) -> Iterator[int]:
-        """The gaps in increasing order."""
-        return compress(range(self.conductor), self._members.translate(_NOT))
+    def _gap_texts(self, sep: str) -> Iterator[str]:
+        """The gaps in increasing order joined by `sep`, per table piece that has one."""
+        members = self._members
+        for lo, size in _spans(0, self.conductor):
+            gaps = tuple(compress(range(lo, lo + size), members[lo:lo + size].translate(_NOT)))
+            if gaps:
+                yield sep.join(repeat("%d", len(gaps))) % gaps
+
+    def _alexander_texts(self, sep: str) -> Iterator[str]:
+        """The coefficients of `alexander_polynomial` joined by `sep` (with no "n"), per piece.
+
+        Table bytes are 0 or 1, so adding the big-endian integers of [k in S]
+        and 2*[k-1 in S] carries nothing: its bytes are codes for a_k.
+        """
+        members = self._members
+        for lo, size in _spans(0, len(members)):
+            codes = (int.from_bytes(members[lo:lo + size], "big")
+                     + (int.from_bytes(members[max(lo - 1, 0):lo + size - 1], "big") << 1))
+            yield sep.join(codes.to_bytes(size, "big").translate(_CODE).decode()).replace("n", "-1")
 
     def __contains__(self, n: int) -> bool:
         return _normal_remainder(n, self._levels) >= 0
@@ -319,6 +345,8 @@ class Semigroup:
 
 # maps the byte [k in S] to [k not in S]
 _NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# maps the code byte [k in S] + 2*[k-1 in S] to the text of a_k, "n" for -1
+_CODE = bytes.maketrans(b"\x00\x01\x02\x03", b"01n0")
 
 
 def _normal_remainder(x: int, levels) -> int:
@@ -532,10 +560,6 @@ def compute_M_I(seq: HNSequence) -> tuple[int, int]:
     return m, i
 
 
-# the three values an Alexander coefficient takes
-_COEFF_TEXT = {-1: "-1", 0: "0", 1: "1"}
-
-
 @dataclass(frozen=True)
 class CuspRecord:
     """Every numerical description of one cusp, mutually consistent."""
@@ -549,8 +573,8 @@ class CuspRecord:
     M: int
     I: int
 
-    def to_json_obj(self) -> dict:
-        """All integers as decimal strings; gaps sorted ascending."""
+    def _json_fields(self, sep: str) -> dict:
+        """`to_json_obj`, with the gaps and Alexander coefficients as pieces joined by `sep`."""
         return {
             "hn": self.hn.to_json_obj(),
             "mult_reduced": self.mult.reduced()._entry_texts(),
@@ -558,12 +582,17 @@ class CuspRecord:
             "puiseux_pairs": [[str(m), str(n)] for m, n in self.puiseux.pairs],
             "zariski_pairs": [[str(b), str(a)] for b, a in self.zariski.pairs],
             "semigroup_generators": list(map(str, self.semigroup.generators)),
-            "gaps": list(map(str, self.semigroup._sorted_gaps())),
-            "alexander_coeffs": list(map(
-                _COEFF_TEXT.__getitem__, alexander_polynomial(self.semigroup))),
+            "gaps": self.semigroup._gap_texts(sep),
+            "alexander_coeffs": self.semigroup._alexander_texts(sep),
             "M": str(self.M),
             "I": str(self.I),
         }
+
+    def to_json_obj(self) -> dict:
+        """All integers as decimal strings; gaps sorted ascending."""
+        return {key: value if isinstance(value, (str, list))
+                else [text for piece in value for text in piece.split(",")]
+                for key, value in self._json_fields(",").items()}
 
 
 def cusp_record(seq: HNSequence) -> CuspRecord:

@@ -22,7 +22,13 @@ from cuspforge.divisor import (
 )
 from cuspforge.errors import EntryBelowTwo, NotAFiber, NotContractible
 from cuspforge.hn import HNPair, HNSequence, RAW, STANDARD, format_hn
-from cuspforge.invariants import FULL, MultiplicitySequence, PuiseuxCharacteristic
+from cuspforge.invariants import (
+    FULL,
+    CuspRecord,
+    MultiplicitySequence,
+    PuiseuxCharacteristic,
+    alexander_polynomial,
+)
 
 
 def random_standard_hn(rng: random.Random, max_h: int = 4, cap: int = 10_000) -> HNSequence:
@@ -443,6 +449,26 @@ def blow_down_oracle(t: WeightedTree, v: int) -> WeightedTree:
         tuple(weights), tuple(sorted((remap(a), remap(b)) for a, b in edges)))
 
 
+def blow_up_oracle(t: WeightedTree, site) -> WeightedTree:
+    """`blow_up` by listing the new edges and re-sorting the whole edge tuple."""
+    new = len(t.weights)
+    weights = [*t.weights, -1]
+    if isinstance(site, int):
+        if not 0 <= site < new:
+            raise ValueError(f"no vertex {site}")
+        weights[site] -= 1
+        edges = [*t.edges, (site, new)]
+    else:
+        a, b = site
+        e = (a, b) if a < b else (b, a)
+        if e not in t.edges:
+            raise ValueError(f"no edge {e}")
+        weights[a] -= 1
+        weights[b] -= 1
+        edges = [x for x in t.edges if x != e] + [(e[0], new), (e[1], new)]
+    return WeightedTree(tuple(weights), tuple(sorted(edges)))
+
+
 def contraction_order_oracle(tree: WeightedTree):
     """Blowdowns by a full min-scan for the smallest eligible (-1)-vertex.
 
@@ -564,6 +590,47 @@ def alexander_from_gaps_oracle(gaps, conductor: int) -> tuple[int, ...]:
         coeffs[k] -= 1
         coeffs[k + 1] += 1
     return tuple(coeffs)
+
+
+# the three values an Alexander coefficient takes
+_COEFF_TEXT = {-1: "-1", 0: "0", 1: "1"}
+
+
+def invariants_output_oracle(record: CuspRecord) -> tuple[str, str]:
+    """`invariants` stdout with --json and as text rows, in that order.
+
+    Printed from whole lists, as the CLI once did: one decimal string per
+    gap and per Alexander coefficient, `json.dumps(obj, indent=2)` of the
+    whole object, and one text row joined per field.
+    """
+    sg = record.semigroup
+    obj = {
+        "hn": record.hn.to_json_obj(),
+        "mult_reduced": list(map(str, record.mult.reduced().entries())),
+        "puiseux_char": list(map(str, record.char.beta)),
+        "puiseux_pairs": [[str(m), str(n)] for m, n in record.puiseux.pairs],
+        "zariski_pairs": [[str(b), str(a)] for b, a in record.zariski.pairs],
+        "semigroup_generators": list(map(str, sg.generators)),
+        "gaps": list(map(str, sorted(sg.gaps))),
+        "alexander_coeffs": list(map(_COEFF_TEXT.__getitem__, alexander_polynomial(sg))),
+        "M": str(record.M),
+        "I": str(record.I),
+    }
+    rows = [
+        ("hn", format_hn(record.hn)),
+        ("mult", ",".join(obj["mult_reduced"])),
+        ("char", record.char.to_text()),
+        ("puiseux", record.puiseux.to_text()),
+        ("zariski", record.zariski.to_text()),
+        ("semigroup", ",".join(obj["semigroup_generators"])),
+        ("gaps", ",".join(obj["gaps"])),
+        ("alexander", ",".join(obj["alexander_coeffs"])),
+        ("M", obj["M"]),
+        ("I", obj["I"]),
+    ]
+    width = max(len(key) for key, _ in rows)
+    text = "".join(f"{key:<{width}}  {value}\n" for key, value in rows)
+    return json.dumps(obj, indent=2) + "\n", text
 
 
 # ----------------------------------------------------- hypothesis strategies

@@ -10,10 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge import divisor
+from cuspforge import invariants
 from cuspforge.cli import _json_text, run
 from cuspforge.hn import format_hn, parse_hn, standardize
-from support import resolution_corpus_hn, resolve_output_oracle
+from cuspforge.invariants import cusp_record
+from support import (
+    invariants_output_oracle,
+    resolution_corpus_hn,
+    resolve_output_oracle,
+    standard_hn_sequences,
+)
 
 INVARIANT_ROWS = """\
 hn         6/4,2/3
@@ -81,6 +87,50 @@ class TestInvariants:
         assert obj["mult_reduced"] == ["3", "3"]
         assert obj["M"] == "9"
         assert obj["I"] == "21"
+
+
+def invariants_outputs(text: str) -> tuple[str, str]:
+    """stdout of `invariants --hn text` with --json and as text rows."""
+    outs = []
+    for fmt in (["--json"], []):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["invariants", "--hn", text, *fmt]) == 0
+        outs.append(out.getvalue())
+    return tuple(outs)
+
+
+class TestInvariantsFromTable:
+    """Output written in pieces from the membership table against whole lists."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(standard_hn_sequences(cap=200), st.sampled_from([1, 2, 3, 7]))
+    def test_matches_whole_list_output(self, s, piece):
+        # at piece size 1 most gap pieces hold no gap and print nothing
+        want = invariants_output_oracle(cusp_record(s))
+        assert invariants_outputs(format_hn(s)) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "_PIECE", piece)
+            assert invariants_outputs(format_hn(s)) == want
+
+    @pytest.mark.parametrize("text", ["3/2", "6/4,2/3", "257/65", "16387/2", "16389/2"])
+    def test_fixed_cases(self, text):
+        # conductors at and just past one piece of the table: 16384, 16386, 16388
+        assert invariants_outputs(text) == invariants_output_oracle(
+            cusp_record(standardize(parse_hn(text))))
+
+    @pytest.mark.parametrize("fmt", [["--json"], []])
+    @pytest.mark.parametrize("text", [
+        "99999999999999999999999/99999999999999999999998",
+        "6/4,2/99999999999999999999999",
+    ])
+    def test_table_past_an_index_fails_before_output(self, capsys, text, fmt):
+        # the table is sized first: no list of 10**23 Apery elements is begun
+        start = time.process_time()
+        code, out, err = invoke(capsys, "invariants", "--hn", text, *fmt)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 class TestConvert:
@@ -182,7 +232,7 @@ class TestResolveFromRuns:
         want = resolve_output_oracle(s)
         assert resolve_outputs(format_hn(s)) == want
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(divisor, "_PIECE", piece)
+            mp.setattr(invariants, "_PIECE", piece)
             assert resolve_outputs(format_hn(s)) == want
 
     @pytest.mark.parametrize("text", [
@@ -285,7 +335,38 @@ class TestFamily:
             assert "FAILED" in out or '"audit_ok": false' in out
 
 
+class Md5Sink:
+    """A stdout that keeps only the md5 of what is written to it."""
+
+    def __init__(self):
+        self.md5 = hashlib.md5()
+
+    def write(self, text):
+        self.md5.update(text.encode())
+        return len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+    def flush(self):
+        pass
+
+
 class TestGoldenOutput:
+    @pytest.mark.parametrize("argv,digest", [
+        (("invariants", "--hn", "1000001/2", "--json"), "ff443037ba488522d0e09a916232e1ca"),
+        (("invariants", "--hn", "1000001/2"), "c8382080801267af498cd80fbe3d52b4"),
+        (("invariants", "--hn", "180/54,18/30,6/4,2/5", "--json"),
+         "d12aae2845ca74dd96a7f3432b5032c0"),
+        (("invariants", "--mult", "4,2,2,2"), "9df5eb1d26a95670d221207bfd94458a"),
+    ])
+    def test_invariants(self, argv, digest):
+        sink = Md5Sink()
+        with contextlib.redirect_stdout(sink):
+            assert run(list(argv)) == 0
+        assert sink.md5.hexdigest() == digest
+
     def test_enumerate_audit_to_degree_80(self):
         # the whole text of the benchmark command, byte for byte
         out = io.StringIO()

@@ -49,6 +49,7 @@ from support import (
     adjoint_fold_oracle,
     bareiss_det,
     blow_down_oracle,
+    blow_up_oracle,
     chain_fiber_oracle,
     chain_oracle,
     chains,
@@ -464,6 +465,18 @@ class TestBlowUpDown:
             t = random_tree(rng, rng.randint(1, 9))
             site = random_site(rng, t)
             assert discriminant(blow_up(t, site)) == discriminant(t)
+
+    @given(weighted_trees(wlow=-3, whigh=0))
+    def test_blow_up_outcome_matches_oracle(self, t):
+        # every vertex and every ordered pair of ids, one past each end too:
+        # edges either way round, non-edges and missing vertices
+        ids = range(-1, len(t) + 1)
+        for site in [*ids, *((a, b) for a in ids for b in ids)]:
+            got, want = outcome(blow_up, t, site), outcome(blow_up_oracle, t, site)
+            if isinstance(want, WeightedTree):
+                assert (got.weights, got.edges) == (want.weights, want.edges)
+            else:
+                assert got == want
 
 
 def _brute_contracts_to_smooth(t):

@@ -297,7 +297,9 @@ class TestSemigroup:
         assert apery_gaps_oracle(sg.generators) == gaps
         conductor = max(gaps) + 1 if gaps else 0
         assert sg.conductor == conductor
-        assert list(sg._sorted_gaps()) == sorted(gaps)
+        assert ",".join(sg._gap_texts(",")) == ",".join(map(str, sorted(gaps)))
+        assert ",".join(sg._alexander_texts(",")) == ",".join(
+            map(str, alexander_from_gaps_oracle(gaps, conductor)))
         assert sg.gaps == gaps
         assert isinstance(sg.gaps, frozenset)
         assert sg.gap_count == len(gaps)

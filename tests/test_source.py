@@ -138,6 +138,19 @@ def test_cli_never_expands_a_resolution():
     assert found == []
 
 
+def test_invariants_never_lists_entries():
+    # invariants prints the gaps and the Alexander coefficients from the
+    # membership table in pieces; these names hold one object per entry
+    listing = {"to_json_obj", "alexander_polynomial", "gaps"}
+    nodes = dict(_function_nodes(PACKAGE / "cli.py"))
+    found = [f"cli.py:{node.lineno} {name}"
+             for name in ("_cmd_invariants", "_invariants_json")
+             for node in ast.walk(nodes[name])
+             if isinstance(node, ast.Attribute) and node.attr in listing
+             or isinstance(node, ast.Name) and node.id in listing]
+    assert found == []
+
+
 def _function_nodes(path: pathlib.Path):
     """Qualified name ("f" or "Class.f") and node of every function in a module."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

@@ -185,3 +185,11 @@ def test_constructors_refuse_non_integers(site, x):
     INTEGER_SITES[site](2)
     with pytest.raises(TypeError):
         INTEGER_SITES[site](x)
+
+
+@pytest.mark.parametrize("obj", [[[6.9, 4.2], [2, 3]], [[True, 1]]])
+def test_hn_from_json_obj_refuses_non_integers(obj):
+    # decimal strings are parsed; any other entry reaches HNPair as it is
+    assert HNSequence.from_json_obj([["6", "4"], [2, 3]]) == parse_hn("6/4,2/3")
+    with pytest.raises(TypeError):
+        HNSequence.from_json_obj(obj)
