@@ -493,6 +493,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (CuspforgeError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large for this process", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
@@ -505,6 +507,23 @@ class TestTopLevel:
         assert time.process_time() - start < 1.0
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("invariants", "--hn", "99999999999/2"),
+        ("verify", "--family", "G", "1000000000000"),
+    ])
+    def test_out_of_memory_is_an_input_error(self, argv):
+        # the conductor fits an index but its table does not fit in 1 GiB
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = os.path.dirname(os.path.dirname(invariants.__file__))
+        proc = subprocess.run([sys.executable, "-m", "cuspforge.cli", *argv],
+                              capture_output=True, text=True, timeout=10,
+                              preexec_fn=limit, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_determinism(self, capsys):
         argv = ("family", "enumerate", "--max-degree", "15", "--json",

@@ -192,3 +192,25 @@ def test_boundaries_never_trust():
                 found += [f"{file}:{line} {name}" for line in _trusted_calls(node)]
     assert found == []
     assert seen == {(file, name) for file, names in _VALIDATING.items() for name in names}
+
+
+def test_package_init_imports_no_submodule():
+    # `import cuspforge` runs `__init__.py` alone; a public name imports its
+    # submodule on first use, from inside `__getattr__`
+    path = PACKAGE / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found, nodes = [], list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # runs when called, not when the package loads
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["cuspforge"] if node.level else [node.module]
+        else:
+            names = []
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name.partition(".")[0] == "cuspforge"]
+        nodes.extend(ast.iter_child_nodes(node))
+    assert found == []
