@@ -102,6 +102,14 @@ def test_cli_loads_every_traced_module():
     assert "cuspforge.cli" in loaded
 
 
+def test_cli_loads_its_layers_before_argparse():
+    # a layer compiled with argparse already resident raises the peak RSS
+    # (sys.modules lists a module once it has finished loading)
+    order = json.loads(fresh("import cuspforge.cli\nprint(json.dumps(list(sys.modules)))\n"))
+    layers = traced_modules() - {"cuspforge.cli"}
+    assert layers and all(order.index(m) < order.index("argparse") for m in layers)
+
+
 def test_public_names_are_their_submodules_objects():
     script = (
         "import importlib\n"
