@@ -39,6 +39,7 @@ from .verify import (
     Q_ACYCLIC_CSTST,
     AuditReport,
     FibrationLedger,
+    _audit_each,
     fibration_ledger,
     full_audit,
 )
@@ -365,7 +366,7 @@ def _cmd_family_enumerate(args: argparse.Namespace) -> int:
     # only the verdicts are printed, so no report outlives its audit
     verdicts: list[Optional[bool]] = [None] * len(records)
     if args.audit:
-        verdicts = [full_audit(r).ok for r in records]
+        verdicts = [report.ok for report in _audit_each(records)]
     if args.json:
         curves = []
         for record, ok in zip(records, verdicts):

@@ -329,7 +329,7 @@ class TestFamily:
         from cuspforge.verify import AuditReport, Check
 
         failing = AuditReport((Check("forced", False, 1, 0),))
-        monkeypatch.setattr(cli, "full_audit", lambda record: failing)
+        monkeypatch.setattr(cli, "_audit_each", lambda records: (failing for _ in records))
         for extra in ((), ("--json",)):
             code, out, _ = invoke(capsys, "family", "enumerate",
                                   "--max-degree", "5", "--audit", *extra)

@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cuspforge.verify as verify
 from cuspforge.errors import NotStandard
@@ -198,6 +200,19 @@ class TestFibrationLedger:
             assert not fibration_ledger(mutated, Q_ACYCLIC_CSTST).ok
 
 
+def corrupting(real, index):
+    """resolution_graph with the end of run `index` lowered by one."""
+    def corrupted(seq):
+        res = real(seq)
+        runs = list(res.runs)
+        runs[index] = runs[index]._replace(end=runs[index].end - 1)
+        return dataclasses.replace(res, runs=tuple(runs))
+    return corrupted
+
+
+CORRUPTIBLE = (FamilySpec("G", (7,)), FamilySpec("A", (2, 2, 1)), FamilySpec("OR1", (2,)))
+
+
 class TestFullAudit:
     def test_family_spec_and_record_paths_agree(self):
         s = FamilySpec("A", (2, 2, 1))
@@ -237,16 +252,9 @@ class TestFullAudit:
         # lowering one weight of a definite tree raises its discriminant by
         # that of the rest of the tree, so d = 1 (or definiteness) must fail
         real = verify.resolution_graph
-        for spec in (FamilySpec("G", (7,)), FamilySpec("A", (2, 2, 1)),
-                     FamilySpec("OR1", (2,))):
+        for spec in CORRUPTIBLE:
             for index in (0, 1):
-                def corrupted(seq, index=index):
-                    res = real(seq)
-                    runs = list(res.runs)
-                    runs[index] = runs[index]._replace(end=runs[index].end - 1)
-                    return dataclasses.replace(res, runs=tuple(runs))
-
-                monkeypatch.setattr(verify, "resolution_graph", corrupted)
+                monkeypatch.setattr(verify, "resolution_graph", corrupting(real, index))
                 names = {c.name for c in full_audit(spec).failed()}
                 assert names & {"cusp1_resolution_discriminant",
                                 "cusp1_resolution_negative_definite"}, (spec, index)
@@ -261,6 +269,64 @@ class TestFullAudit:
         assert check.lhs == check.rhs
         assert str(check.lhs) == "4,4,4,4,1,1,1,1"
         assert str(by_name["cusp2_table_multiplicities"].rhs) == "2,2,2,2"
+
+
+def reversed_cusps(record):
+    return CurveRecord(record.degree, record.gamma, record.cusps[::-1], record.family)
+
+
+# every record of degree <= 30, and a copy of each with its cusps reversed,
+# so that one cusp is audited both as cusp 1 and as cusp 2
+BATCH_POOL = [variant for r in enumerate_curves(30) for variant in (r, reversed_cusps(r))]
+
+
+class TestBatchAudit:
+    """_audit_each shares the per-cusp checks of one batch and nothing more."""
+
+    def test_matches_full_audit_over_enumeration(self):
+        records = enumerate_curves(60)
+        assert list(verify._audit_each(records)) == [full_audit(r) for r in records]
+
+    def test_cusp_at_both_positions(self):
+        record = generate(FamilySpec("A", (2, 2, 1)))
+        records = [record, reversed_cusps(record), record]
+        reports = list(verify._audit_each(records))
+        assert reports == [full_audit(r) for r in records]
+        first, swapped = reports[0].checks[10], reports[1].checks[0]
+        assert (first.name, swapped.name) == ("cusp2_standard_valid", "cusp1_standard_valid")
+        assert first.lhs == swapped.lhs
+
+    @given(st.lists(st.sampled_from(BATCH_POOL), max_size=30))
+    def test_shuffled_and_repeated_batches_match_full_audit(self, records):
+        assert list(verify._audit_each(records)) == [full_audit(r) for r in records]
+
+    def test_no_state_outlives_a_batch(self, monkeypatch):
+        records = [generate(spec) for spec in CORRUPTIBLE]
+        assert all(report.ok for report in verify._audit_each(records))
+        monkeypatch.setattr(verify, "resolution_graph",
+                            corrupting(verify.resolution_graph, 0))
+        for report in verify._audit_each(records):
+            assert {c.name for c in report.failed()} & {
+                "cusp1_resolution_discriminant", "cusp1_resolution_negative_definite"}
+        monkeypatch.undo()
+        assert all(report.ok for report in verify._audit_each(records))
+
+    def test_repeated_cusps_are_resolved_once(self, monkeypatch):
+        # 7,486 cusps over degree <= 80, of which the 256-entry window
+        # resolves about 3,100; without sharing every cusp is resolved
+        calls = 0
+        real = verify.resolution_graph
+
+        def counted(seq):
+            nonlocal calls
+            calls += 1
+            return real(seq)
+
+        monkeypatch.setattr(verify, "resolution_graph", counted)
+        records = enumerate_curves(80)
+        assert all(report.ok for report in verify._audit_each(records))
+        assert sum(len(r.cusps) for r in records) == 7486
+        assert calls <= 3200
 
 
 CUSP_CHECKS = ("standard_valid", "standardize_idempotent", "raw_standardizes_to",
