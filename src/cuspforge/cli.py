@@ -23,6 +23,7 @@ from .hn import format_hn, parse_hn, standardize
 from .invariants import (
     ZARISKI,
     PairList,
+    _run_texts,
     _spans,
     cusp_record,
     hn_from_zariski,
@@ -48,8 +49,9 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Iterator
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -88,28 +90,18 @@ def _write_pieces(path: str, pieces) -> None:
 def _json_text(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` for values whose dict keys are strings.
 
-    `pad` is the newline and indentation of `obj`'s own level.  A list of
-    strings is encoded in one C-level join, which raises TypeError at the
-    first item that is not a string: when no string needs escaping (all
-    printable ASCII, no quote, no backslash) the quotes go into the
-    separator, else each string is escaped.  Other containers recurse and
-    scalars go through the C encoder of ``json.dumps``.
+    `pad` is the newline and indentation of `obj`'s own level.  Containers
+    recurse, strings are escaped by the C encoder of ``json.dumps`` and
+    other scalars go through ``json.dumps`` itself.
     """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
-        try:
-            plain = "".join(obj)
-        except TypeError:
-            body = ("," + inner).join(map(_json_text, obj, repeat(inner)))
-        else:
-            if (plain.isascii() and plain.isprintable()
-                    and '"' not in plain and "\\" not in plain):
-                body = '"' + ('",' + inner + '"').join(obj) + '"'
-            else:
-                body = ("," + inner).join(map(encode_basestring_ascii, obj))
-        return "[" + inner + body + pad + "]"
+        return "[" + inner + ("," + inner).join(
+            _json_text(item, inner) for item in obj) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -120,8 +112,19 @@ def _json_text(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _print_json(obj) -> None:
-    print(_json_text(obj))
+def _print_json(obj: dict) -> None:
+    """Print ``json.dumps(obj, indent=2)`` for a non-empty dict, key by key.
+
+    An iterator value is encoded text in pieces, written as they arrive;
+    every other value is encoded before the first byte, so one too large
+    to encode fails with no output.
+    """
+    texts = [(key, value if isinstance(value, Iterator) else (_json_text(value, "\n  "),))
+             for key, value in obj.items()]
+    for i, (key, pieces) in enumerate(texts):
+        sys.stdout.write(("," if i else "{") + "\n  " + encode_basestring_ascii(key) + ": ")
+        sys.stdout.writelines(pieces)
+    sys.stdout.write("\n}\n")
 
 
 def _joined(pieces, sep: str):
@@ -151,14 +154,6 @@ def _json_list(pieces, pad: str):
     yield pad + "]"
 
 
-def _run_texts(runs, fmt: str, sep: str):
-    """The items of (value, count) runs as `fmt` texts joined by `sep`, in pieces."""
-    for value, count in runs:
-        item = fmt.format(value)
-        for _, size in _spans(0, count):
-            yield sep.join(repeat(item, size))
-
-
 def _print_rows(rows: Sequence[tuple[str, object]]) -> None:
     """Aligned `key  value` lines; a value is a string or an iterable of pieces."""
     width = max(len(k) for k, _ in rows)
@@ -184,18 +179,6 @@ def _print_report(report: AuditReport) -> None:
 # ---------------------------------------------------------------- handlers
 
 
-def _invariants_json(record):
-    """`json.dumps(record.to_json_obj(), indent=2)` in pieces, the long lists piece by piece."""
-    pad = "\n  "
-    for i, (key, value) in enumerate(record._json_fields('",\n    "').items()):
-        yield ("," if i else "{") + pad + encode_basestring_ascii(key) + ": "
-        if isinstance(value, (str, list)):
-            yield _json_text(value, pad)
-        else:
-            yield from _json_list(('"' + piece + '"' for piece in value), pad)
-    yield "\n}\n"
-
-
 def _cmd_invariants(args: argparse.Namespace) -> int:
     if (args.hn is None) == (args.mult is None):
         raise ValueError("invariants needs exactly one of --hn or --mult")
@@ -206,13 +189,17 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     record = cusp_record(std)
     record.semigroup._members     # raises past an index, before any output
     if args.json:
-        sys.stdout.writelines(_invariants_json(record))
+        pad = "\n  "
+        # a piece of a long list lacks only its outer quotes
+        _print_json({key: value if isinstance(value, (str, list))
+                     else _json_list(('"' + piece + '"' for piece in value), pad)
+                     for key, value in record._json_fields('",' + pad + '  "').items()})
         return 0
     # the text rows join the same decimal strings
     fields = record._json_fields(",")
     _print_rows([
         ("hn", format_hn(record.hn)),
-        ("mult", ",".join(fields["mult_reduced"])),
+        ("mult", _joined(fields["mult_reduced"], ",")),
         ("char", record.char.to_text()),
         ("puiseux", record.puiseux.to_text()),
         ("zariski", record.zariski.to_text()),
@@ -272,36 +259,6 @@ def _chain_text(runs):
     yield "]"
 
 
-def _resolve_json(std, res, chain):
-    """`resolve --json` in pieces, read from the run form.
-
-    The text is that of `json.dumps(obj, indent=2)` for the object with
-    the keys hn, weights, edges, curve_vertex, multiplicities and chain.
-    """
-    pad, inner = "\n  ", "\n    "
-    sep = "," + inner
-    yield "{" + pad + '"hn": ' + _json_text(std.to_json_obj(), pad)
-    yield "," + pad + '"weights": '
-    yield from _json_list(_run_texts(_weight_runs(res), '"{}"', sep), pad)
-    yield "," + pad + '"edges": '
-    edge_open, edge_close = "[" + inner + '  "', '"' + inner + "]"
-    yield from _json_list(
-        (edge_open + text + edge_close for text in _edge_texts(
-            res._edge_walk(), '",' + inner + '  "', edge_close + sep + edge_open)),
-        pad)
-    yield "," + pad + f'"curve_vertex": "{res.c_vertex}"'
-    yield "," + pad + '"multiplicities": '
-    yield from _json_list(_run_texts(res.mult.runs, '"{}"', sep), pad)
-    yield "," + pad + '"chain": '
-    if chain is None:
-        yield "null"
-    else:
-        yield '"'
-        yield from chain
-        yield '"'
-    yield "\n}\n"
-
-
 def _cmd_resolve(args: argparse.Namespace) -> int:
     """Written from the run form in pieces: no output holds every vertex."""
     std = standardize(parse_hn(args.hn))
@@ -311,11 +268,22 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         _write_pieces(args.dot, _dot_pieces(res))
         return 0
     try:
-        chain = _chain_text(res._chain_runs())
+        chain_text = _chain_text(res._chain_runs())
     except ValueError:
-        chain = None
+        chain_text = None
     if args.json:
-        sys.stdout.writelines(_resolve_json(std, res, chain))
+        pad, inner = "\n  ", "\n    "
+        sep = "," + inner
+        edge_open, edge_close = "[" + inner + '  "', '"' + inner + "]"
+        _print_json({
+            "hn": std.to_json_obj(),
+            "weights": _json_list(_run_texts(_weight_runs(res), '"{}"', sep), pad),
+            "edges": _json_list((edge_open + text + edge_close for text in _edge_texts(
+                res._edge_walk(), '",' + inner + '  "', edge_close + sep + edge_open)), pad),
+            "curve_vertex": str(res.c_vertex),
+            "multiplicities": _json_list(_run_texts(res.mult.runs, '"{}"', sep), pad),
+            "chain": None if chain_text is None else chain('"', chain_text, '"'),
+        })
         return 0
     rows = [
         ("hn", format_hn(std)),
@@ -326,8 +294,8 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         ("curve", f"v{res.c_vertex}"),
         ("mult", _joined(_run_texts(res.mult.runs, "{}", ","), ",")),
     ]
-    if chain is not None:
-        rows.append(("chain", chain))
+    if chain_text is not None:
+        rows.append(("chain", chain_text))
     _print_rows(rows)
     return 0
 

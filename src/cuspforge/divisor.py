@@ -313,6 +313,10 @@ class Chain:
         return ([-entries[p] for p in at],
                 [(v, v + 1, q - p - 1) for v, (p, q) in enumerate(zip(at, at[1:]))])
 
+    def _determinants(self) -> tuple[int, bool]:
+        """(discriminant, negative definite), from one pass over the junction form."""
+        return _verdict(_subtree_determinants(*self._junction_form(), 0)[2])
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Chain):
             return NotImplemented
@@ -394,12 +398,6 @@ def _verdict(sub: list[int]) -> tuple[int, bool]:
     return (sub[0] if sub else 1), all(d > 0 for d in sub)
 
 
-def _determinant_pair(t: Divisor) -> tuple[int, bool]:
-    if isinstance(t, Chain):
-        return _verdict(_subtree_determinants(*t._junction_form(), 0)[2])
-    return t._determinants()
-
-
 def discriminant(t: Divisor) -> int:
     """Determinant of the negated intersection matrix; d(empty) = 1.
 
@@ -408,12 +406,12 @@ def discriminant(t: Divisor) -> int:
     so it costs O(#entries other than 2) integer steps.  A tree keeps the
     result, and `is_negative_definite` reads the same pass.
     """
-    return _determinant_pair(t)[0]
+    return t._determinants()[0]
 
 
 def is_negative_definite(t: Divisor) -> bool:
     """Sylvester test: every rooted subtree has positive discriminant."""
-    return _determinant_pair(t)[1]
+    return t._determinants()[1]
 
 
 def star_concat(a: Chain, b: Chain) -> Chain:

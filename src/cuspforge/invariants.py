@@ -43,6 +43,14 @@ def _spans(start: int, count: int):
         yield first, min(_PIECE, start + count - first)
 
 
+def _run_texts(runs, fmt: str, sep: str) -> Iterator[str]:
+    """The items of (value, count) runs as `fmt` texts joined by `sep`, in pieces."""
+    for value, count in runs:
+        item = fmt.format(value)
+        for _, size in _spans(0, count):
+            yield sep.join(repeat(item, size))
+
+
 @dataclass(frozen=True)
 class MultiplicitySequence:
     """Non-increasing multiplicity sequence, held as (value, count) runs.
@@ -91,13 +99,6 @@ class MultiplicitySequence:
             out.extend([v] * n)
         return tuple(out)
 
-    def _entry_texts(self) -> list[str]:
-        """The entries as decimal strings, one string object per run."""
-        out: list[str] = []
-        for v, n in self.runs:
-            out.extend([str(v)] * n)
-        return out
-
     def reduced(self) -> "MultiplicitySequence":
         if self.form == REDUCED:
             return self
@@ -118,7 +119,11 @@ class MultiplicitySequence:
         return sum(v * n for v, n in self.runs)
 
     def to_text(self) -> str:
-        return ",".join(self._entry_texts())
+        # one list, not pieces: a run too long to list raises MemoryError at once
+        texts: list[str] = []
+        for v, n in self.runs:
+            texts.extend([str(v)] * n)
+        return ",".join(texts)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -574,10 +579,10 @@ class CuspRecord:
     I: int
 
     def _json_fields(self, sep: str) -> dict:
-        """`to_json_obj`, with the gaps and Alexander coefficients as pieces joined by `sep`."""
+        """`to_json_obj`, with the three long lists as pieces of items joined by `sep`."""
         return {
             "hn": self.hn.to_json_obj(),
-            "mult_reduced": self.mult.reduced()._entry_texts(),
+            "mult_reduced": _run_texts(self.mult.reduced().runs, "{}", sep),
             "puiseux_char": list(map(str, self.char.beta)),
             "puiseux_pairs": [[str(m), str(n)] for m, n in self.puiseux.pairs],
             "zariski_pairs": [[str(b), str(a)] for b, a in self.zariski.pairs],

@@ -3,8 +3,9 @@
 Every audit produces an AuditReport of named checks carrying both compared
 values, so a failure is always reproducible from the report alone.  A
 multiplicity sequence is carried as itself and printed through str().
-An enumeration audits its curves as one batch: a cusp seen recently in the
-batch, at the same position, is checked once and its checks are reused.
+Curves are audited in batches, and `full_audit` runs a batch of one: a cusp
+seen recently in the batch, at the same position, is checked once and its
+checks are reused.
 """
 
 from __future__ import annotations
@@ -203,28 +204,6 @@ def _cusp_checks(raw: HNSequence, std: HNSequence,
     return tuple(checks), full
 
 
-def _audit(record: CurveRecord, cusp_checks) -> AuditReport:
-    """full_audit of a record, taking each cusp's checks from cusp_checks."""
-    checks: list[Check] = []
-    fulls = []
-    for j, (raw, std) in enumerate(record.cusps, start=1):
-        cusp, full = cusp_checks(raw, std, j)
-        checks.extend(cusp)
-        fulls.append(full)
-    if record.family is not None:
-        expected = expected_reduced_multiplicities(record.family)
-        for j, (full, want) in enumerate(zip(fulls, expected), start=1):
-            checks.append(_eq(f"cusp{j}_table_multiplicities", full.reduced(), want))
-    report = AuditReport(tuple(checks))
-    report = report.extend(check_hn_equations(record))
-    report = report.extend(check_E2_bounds(record))
-    value = kkd(record)
-    report = report.extend(AuditReport((
-        Check("kkd_nonnegative", value >= 0, value, 0),
-    )))
-    return report
-
-
 def full_audit(obj: Union[FamilySpec, CurveRecord]) -> AuditReport:
     """Run every per-cusp and per-curve audit on a record or family instance.
 
@@ -234,7 +213,7 @@ def full_audit(obj: Union[FamilySpec, CurveRecord]) -> AuditReport:
     bounds, and non-negativity of K.(K+D).
     """
     record = generate(obj) if isinstance(obj, FamilySpec) else obj
-    return _audit(record, _cusp_checks)
+    return next(_audit_each((record,)))
 
 
 def _audit_each(records: Iterable[CurveRecord]) -> Iterator[AuditReport]:
@@ -246,4 +225,18 @@ def _audit_each(records: Iterable[CurveRecord]) -> Iterator[AuditReport]:
     """
     cusp_checks = lru_cache(maxsize=256)(_cusp_checks)
     for record in records:
-        yield _audit(record, cusp_checks)
+        checks: list[Check] = []
+        fulls = []
+        for j, (raw, std) in enumerate(record.cusps, start=1):
+            cusp, full = cusp_checks(raw, std, j)
+            checks += cusp
+            fulls.append(full)
+        if record.family is not None:
+            expected = expected_reduced_multiplicities(record.family)
+            for j, (full, want) in enumerate(zip(fulls, expected), start=1):
+                checks.append(_eq(f"cusp{j}_table_multiplicities", full.reduced(), want))
+        checks += check_hn_equations(record).checks
+        checks += check_E2_bounds(record).checks
+        value = kkd(record)
+        checks.append(Check("kkd_nonnegative", value >= 0, value, 0))
+        yield AuditReport(tuple(checks))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge import invariants
+from cuspforge import cli, invariants
 from cuspforge.cli import _json_text, run
 from cuspforge.hn import format_hn, parse_hn, standardize
 from cuspforge.invariants import cusp_record
@@ -115,9 +115,11 @@ class TestInvariantsFromTable:
             mp.setattr(invariants, "_PIECE", piece)
             assert invariants_outputs(format_hn(s)) == want
 
-    @pytest.mark.parametrize("text", ["3/2", "6/4,2/3", "257/65", "16387/2", "16389/2"])
+    @pytest.mark.parametrize("text", [
+        "3/2", "6/4,2/3", "257/65", "16387/2", "16389/2", "32769/2", "32771/2"])
     def test_fixed_cases(self, text):
-        # conductors at and just past one piece of the table: 16384, 16386, 16388
+        # conductors at and just past one piece of the table: 16384, 16386,
+        # 16388; reduced multiplicity runs of one piece and one past: 16384, 16385
         assert invariants_outputs(text) == invariants_output_oracle(
             cusp_record(standardize(parse_hn(text))))
 
@@ -582,3 +584,17 @@ class TestJsonWriter:
         _, out, err = invoke(capsys, *argv)
         assert err == ""
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_a_value_too_large_to_encode_prints_nothing(self, capsys, monkeypatch):
+        # the audit is the last key; no earlier key may reach stdout before it fails
+        real = cli._json_text
+
+        def encode(obj, *args):
+            if isinstance(obj, dict) and "checks" in obj:
+                raise MemoryError
+            return real(obj, *args)
+
+        monkeypatch.setattr(cli, "_json_text", encode)
+        code, out, err = invoke(capsys, "family", "gen", "G", "3", "--audit", "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: out of memory")

@@ -139,15 +139,23 @@ def test_cli_never_expands_a_resolution():
 
 
 def test_invariants_never_lists_entries():
-    # invariants prints the gaps and the Alexander coefficients from the
-    # membership table in pieces; these names hold one object per entry
-    listing = {"to_json_obj", "alexander_polynomial", "gaps"}
-    nodes = dict(_function_nodes(PACKAGE / "cli.py"))
-    found = [f"cli.py:{node.lineno} {name}"
-             for name in ("_cmd_invariants", "_invariants_json")
-             for node in ast.walk(nodes[name])
-             if isinstance(node, ast.Attribute) and node.attr in listing
-             or isinstance(node, ast.Name) and node.id in listing]
+    # invariants prints the multiplicities, the gaps and the Alexander
+    # coefficients in pieces; these names hold one object per entry.  The
+    # short text rows of `_cmd_invariants` may use `to_text`.
+    listing = {"_entry_texts", "entries", "to_text", "gaps", "alexander_polynomial"}
+    scanned = {
+        ("cli.py", "_cmd_invariants"): listing - {"to_text"} | {"to_json_obj"},
+        ("cli.py", "_print_json"): listing,
+        ("invariants.py", "CuspRecord._json_fields"): listing,
+    }
+    nodes = {(file, name): node for file in ("cli.py", "invariants.py")
+             for name, node in _function_nodes(PACKAGE / file)}
+    found = []
+    for (file, function), names in scanned.items():
+        for node in ast.walk(nodes[file, function]):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in names:
+                found.append(f"{file}:{node.lineno} {name}")
     assert found == []
 
 
