@@ -31,7 +31,6 @@ is the only code that turns the form into adjacency.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import groupby
@@ -45,7 +44,7 @@ from .errors import (
     NotContractible,
     NotCoprime,
 )
-from .hn import HNPair, HNSequence, RAW, standard_form
+from .hn import HNPair, HNSequence, RAW, _Frozen, _set, standard_form
 from .invariants import FULL, MultiplicitySequence, _spans
 
 NONDEGENERATE = "nondegenerate"
@@ -54,24 +53,23 @@ SPECIAL_FORK = "special_fork"
 OTHER = "other"
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedTree:
+class WeightedTree(_Frozen):
     """Connected acyclic weighted graph; ids are dense and creation-ordered.
 
     Equality and hashing are up to weight-preserving isomorphism (canonical
     rooted codes at the tree centers), not up to vertex numbering.
     """
 
+    _fields = ("weights", "edges")
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        weights = tuple(map(index, self.weights))
-        object.__setattr__(self, "weights", weights)
+    def __init__(self, weights: Iterable[int], edges: Iterable[tuple[int, int]]) -> None:
+        weights = tuple(map(index, weights))
         n = len(weights)
         seen = set()
         norm = []
-        for a, b in self.edges:
+        for a, b in edges:
             a, b = index(a), index(b)
             if a == b or not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"bad edge ({a},{b}) on {n} vertices")
@@ -80,12 +78,7 @@ class WeightedTree:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
             norm.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        if n == 0:
-            if norm:
-                raise ValueError("edges without vertices")
-            return
-        if len(norm) != n - 1:
+        if n and len(norm) != n - 1:
             raise ValueError(f"{n} vertices need {n - 1} edges, got {len(norm)}")
         parent = list(range(n))
 
@@ -100,6 +93,8 @@ class WeightedTree:
             if ra == rb:
                 raise ValueError("edges form a cycle")
             parent[ra] = rb
+        _set(self, "weights", weights)
+        _set(self, "edges", tuple(sorted(norm)))
 
     @classmethod
     def _trusted(cls, weights: tuple[int, ...],
@@ -112,10 +107,10 @@ class WeightedTree:
         the cache of `_determinants`.
         """
         tree = object.__new__(cls)
-        object.__setattr__(tree, "weights", weights)
-        object.__setattr__(tree, "edges", edges)
+        _set(tree, "weights", weights)
+        _set(tree, "edges", edges)
         if dets is not None:
-            object.__setattr__(tree, "_dets", dets)
+            _set(tree, "_dets", dets)
         return tree
 
     def __len__(self) -> int:
@@ -132,7 +127,7 @@ class WeightedTree:
         cached = self.__dict__.get("_canon")
         if cached is None:
             cached = _canonical_code(self.weights, self.adjacency())
-            object.__setattr__(self, "_canon", cached)
+            _set(self, "_canon", cached)
         return cached
 
     def _junction_form(self) -> tuple[tuple[int, ...], Iterable[tuple[int, int, int]]]:
@@ -149,7 +144,7 @@ class WeightedTree:
         cached = self.__dict__.get("_dets")
         if cached is None:
             cached = _verdict(_subtree_determinants(*self._junction_form(), 0)[2])
-            object.__setattr__(self, "_dets", cached)
+            _set(self, "_dets", cached)
         return cached
 
     def __eq__(self, other: object) -> bool:
@@ -227,8 +222,7 @@ def _canonical_code(weights, adj) -> tuple:
     return min(_rooted_code(weights, adj, c) for c in _centers(n, adj))
 
 
-@dataclass(frozen=True, eq=False)
-class Chain:
+class Chain(_Frozen):
     """A linear dual graph [a1,...,ar]; entry a_i is minus the weight.
 
     Equality ignores orientation, matching the convention that a chain and
@@ -236,16 +230,17 @@ class Chain:
     refused, not rounded.
     """
 
-    entries: tuple[int, ...] = ()
+    _fields = ("entries",)
+    entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(map(index, self.entries)))
+    def __init__(self, entries: Iterable[int] = ()) -> None:
+        _set(self, "entries", tuple(map(index, entries)))
 
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> "Chain":
         """A chain whose entries are known to be a tuple of ints."""
         chain = object.__new__(cls)
-        object.__setattr__(chain, "entries", entries)
+        _set(chain, "entries", entries)
         return chain
 
     @classmethod
@@ -542,12 +537,16 @@ def _contract_all(t: WeightedTree):
     return weights, trace
 
 
-@dataclass(frozen=True)
-class ContractionResult:
+class ContractionResult(_Frozen):
     """Outcome of iterated blowdowns; order lists original vertex ids."""
 
+    _fields = ("ok", "order")
     ok: bool
     order: tuple[int, ...]
+
+    def __init__(self, ok: bool, order: tuple[int, ...]) -> None:
+        _set(self, "ok", ok)
+        _set(self, "order", order)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -608,11 +607,17 @@ def _fiber_pass(tree: WeightedTree):
     return tuple(xi // g for xi in x), adj
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(_Frozen):
+    _fields = ("shape", "multiplicities", "minus_one_vertices")
     shape: str
     multiplicities: tuple[int, ...]
     minus_one_vertices: tuple[int, ...]
+
+    def __init__(self, shape: str, multiplicities: tuple[int, ...],
+                 minus_one_vertices: tuple[int, ...]) -> None:
+        _set(self, "shape", shape)
+        _set(self, "multiplicities", multiplicities)
+        _set(self, "minus_one_vertices", minus_one_vertices)
 
 
 def _walk(adj: list[list[tuple[int, int]]], v: int, prev: int) -> list[int]:
@@ -712,8 +717,7 @@ class ResolutionInvariants(NamedTuple):
     definite: bool
 
 
-@dataclass(frozen=True)
-class MarkedResolution:
+class MarkedResolution(_Frozen):
     """Dual graph of the minimal log resolution of one cusp, held as runs.
 
     The vertices are the runs' vertices, and the edges are the chain edges
@@ -725,11 +729,20 @@ class MarkedResolution:
     from the runs and `_edge_walk` in bounded pieces and never expands it.
     """
 
+    _fields = ("runs", "links", "c_vertex", "mult", "hn")
     runs: tuple[Run, ...]
     links: tuple[tuple[int, int], ...]
     c_vertex: int
     mult: MultiplicitySequence
     hn: HNSequence
+
+    def __init__(self, runs: tuple[Run, ...], links: tuple[tuple[int, int], ...],
+                 c_vertex: int, mult: MultiplicitySequence, hn: HNSequence) -> None:
+        _set(self, "runs", runs)
+        _set(self, "links", links)
+        _set(self, "c_vertex", c_vertex)
+        _set(self, "mult", mult)
+        _set(self, "hn", hn)
 
     def __len__(self) -> int:
         """The number of vertices, one per blowup; OverflowError past an index."""
@@ -915,14 +928,14 @@ def resolution_graph(seq: HNSequence) -> MarkedResolution:
     return _resolve(standard_form(seq))
 
 
-@dataclass(frozen=True)
-class ChainIdentityReport:
+class ChainIdentityReport(_Frozen):
     """Discriminant identities of the single-pair resolution chain.
 
     a_side and b_side read outward from the (-1)-curve, heavier side in
     a_side.  Truncations drop the far tip.
     """
 
+    _fields = ("c", "p", "q_chain", "a_side", "b_side", "d_a", "d_b", "d_a_trunc", "d_b_trunc")
     c: int
     p: int
     q_chain: Chain
@@ -932,6 +945,19 @@ class ChainIdentityReport:
     d_b: int
     d_a_trunc: int
     d_b_trunc: int
+
+    def __init__(self, c: int, p: int, q_chain: Chain, a_side: tuple[int, ...],
+                 b_side: tuple[int, ...], d_a: int, d_b: int, d_a_trunc: int,
+                 d_b_trunc: int) -> None:
+        _set(self, "c", c)
+        _set(self, "p", p)
+        _set(self, "q_chain", q_chain)
+        _set(self, "a_side", a_side)
+        _set(self, "b_side", b_side)
+        _set(self, "d_a", d_a)
+        _set(self, "d_b", d_b)
+        _set(self, "d_a_trunc", d_a_trunc)
+        _set(self, "d_b_trunc", d_b_trunc)
 
     @property
     def ok(self) -> bool:

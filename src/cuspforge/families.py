@@ -10,12 +10,11 @@ standardization, so there is a single code path per family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ParamOutOfDomain
-from .hn import HNPair, HNSequence, RAW, standardize
+from .hn import HNPair, HNSequence, RAW, _Frozen, _set, standardize
 from .invariants import MultiplicitySequence
 
 
@@ -118,22 +117,23 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return (d, c + d) if n & 1 else (c, d)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Frozen):
     """A family id with its parameter tuple in declared order."""
 
+    _fields = ("id", "params")
     id: str
     params: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.id not in _FAMILIES:
-            raise ValueError(f"unknown family {self.id!r}")
-        params = tuple(map(index, self.params))
-        object.__setattr__(self, "params", params)
-        names = _FAMILIES[self.id].names
+    def __init__(self, id: str, params: Iterable[int]) -> None:
+        if id not in _FAMILIES:
+            raise ValueError(f"unknown family {id!r}")
+        params = tuple(map(index, params))
+        names = _FAMILIES[id].names
         if len(params) != len(names):
             raise ValueError(
-                f"{self.id} takes parameters {names}, got {len(params)} values")
+                f"{id} takes parameters {names}, got {len(params)} values")
+        _set(self, "id", id)
+        _set(self, "params", params)
 
     def named(self) -> dict[str, int]:
         return dict(zip(_FAMILIES[self.id].names, self.params))
@@ -185,8 +185,7 @@ def _domain_error(fid: str, params: tuple[int, ...]) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(_Frozen):
     """A rational cuspidal plane curve: degree, gamma = -E^2, and its cusps.
 
     Each cusp is kept both as the raw printed HN sequence and its standard
@@ -195,19 +194,26 @@ class CurveRecord:
     inconsistent records can still be built for audit failure tests.
     """
 
+    _fields = ("degree", "gamma", "cusps", "family")
     degree: int
     gamma: int
     cusps: tuple[tuple[HNSequence, HNSequence], ...]
-    family: FamilySpec | None = None
+    family: FamilySpec | None
 
-    def __post_init__(self) -> None:
-        if self.family is not None:
-            if self.degree < 3:
-                raise ValueError(f"family curve degree {self.degree} < 3")
-            if self.gamma < 1:
-                raise ValueError(f"family curve gamma {self.gamma} < 1")
-            if not 1 <= len(self.cusps) <= 3:
-                raise ValueError(f"family curve with {len(self.cusps)} cusps")
+    def __init__(self, degree: int, gamma: int,
+                 cusps: tuple[tuple[HNSequence, HNSequence], ...],
+                 family: FamilySpec | None = None) -> None:
+        if family is not None:
+            if degree < 3:
+                raise ValueError(f"family curve degree {degree} < 3")
+            if gamma < 1:
+                raise ValueError(f"family curve gamma {gamma} < 1")
+            if not 1 <= len(cusps) <= 3:
+                raise ValueError(f"family curve with {len(cusps)} cusps")
+        _set(self, "degree", degree)
+        _set(self, "gamma", gamma)
+        _set(self, "cusps", cusps)
+        _set(self, "family", family)
 
     @classmethod
     def from_cusps(cls, degree, gamma, seqs, family=None) -> "CurveRecord":
@@ -279,10 +285,14 @@ def _sweep(fid: str, prefix: tuple[int, ...], max_degree: int):
             return
 
 
-@dataclass(frozen=True)
-class DistinctnessReport:
+class DistinctnessReport(_Frozen):
+    _fields = ("total", "collisions")
     total: int
     collisions: tuple[tuple[CurveRecord, ...], ...]
+
+    def __init__(self, total: int, collisions: tuple[tuple[CurveRecord, ...], ...]) -> None:
+        _set(self, "total", total)
+        _set(self, "collisions", collisions)
 
     @property
     def ok(self) -> bool:

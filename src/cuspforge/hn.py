@@ -17,7 +17,6 @@ All integers are Python ints, so arbitrary precision comes for free.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Iterable
@@ -29,28 +28,73 @@ RAW = "raw"
 
 _PAIR_RE = re.compile(r"(\d+)/(\d+)\Z")
 
+# writes an attribute past `_Frozen.__setattr__`; only constructors and caches use it
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class HNPair:
+
+class _Frozen:
+    """Base of the package's value classes: immutable, equal and hashed by fields.
+
+    A subclass names its fields in order in `_fields` and sets each one with
+    `_set` in its own `__init__`.  Two instances are equal when they are of
+    the same class and their field tuples are equal, and the hash is the
+    hash of that tuple.  Attributes outside `_fields` (derived values and
+    caches) take no part in equality, hashing or repr.  Assigning or
+    deleting an attribute raises AttributeError.  The state is the instance
+    `__dict__`, which pickle writes and restores without calling
+    `__init__`.
+
+    `__eq__` and `__hash__` are compiled once per class from the field
+    names, so each field is a plain attribute load: `operator.attrgetter`
+    costs more per call, and a cusp's pairs are hashed on every audit cache
+    lookup.  A class that defines its own `__eq__` keeps both of its own.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields
+        if "__eq__" not in vars(cls):
+            mine = "".join(f"self.{name}," for name in cls._fields)
+            theirs = mine.replace("self.", "other.")
+            cls.__eq__, cls.__hash__ = eval(
+                f"(lambda self, other: ({mine}) == ({theirs})"
+                f" if other.__class__ is self.__class__ else NotImplemented,"
+                f" lambda self: hash(({mine})))")
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class HNPair(_Frozen):
     """One resolution stage (c/p); both entries are positive integers."""
 
+    _fields = ("c", "p")
     c: int
     p: int
 
-    def __post_init__(self) -> None:
-        for v in (self.c, self.p):
+    def __init__(self, c: int, p: int) -> None:
+        for v in (c, p):
             # bool is an int subclass, but True/2 is no pair
             if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"HN pair entries must be integers, got {type(v).__name__}")
-        if self.c < 1 or self.p < 1:
-            raise ValueError(f"HN pair entries must be >= 1, got ({self.c}/{self.p})")
+        if c < 1 or p < 1:
+            raise ValueError(f"HN pair entries must be >= 1, got ({c}/{p})")
+        _set(self, "c", c)
+        _set(self, "p", p)
 
     def __str__(self) -> str:
         return f"{self.c}/{self.p}"
 
 
-@dataclass(frozen=True)
-class HNSequence:
+class HNSequence(_Frozen):
     """An ordered, non-empty sequence of HN pairs with a declared flavor.
 
     The constructor does not enforce the flavor's axioms; use
@@ -58,24 +102,27 @@ class HNSequence:
     inspected rather than rejected at construction time.
     """
 
+    _fields = ("pairs", "flavor")
     pairs: tuple[HNPair, ...]
-    flavor: str = STANDARD
+    flavor: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not self.pairs:
+    def __init__(self, pairs: Iterable[HNPair], flavor: str = STANDARD) -> None:
+        pairs = tuple(pairs)
+        if not pairs:
             raise ValueError("an HN sequence needs at least one pair")
-        if any(not isinstance(p, HNPair) for p in self.pairs):
+        if any(not isinstance(p, HNPair) for p in pairs):
             raise TypeError("pairs must be HNPair instances")
-        if self.flavor not in (STANDARD, RAW):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+        if flavor not in (STANDARD, RAW):
+            raise ValueError(f"unknown flavor {flavor!r}")
+        _set(self, "pairs", pairs)
+        _set(self, "flavor", flavor)
 
     @classmethod
     def _trusted(cls, pairs: tuple[HNPair, ...], flavor: str) -> "HNSequence":
         """A sequence known to be well formed: a non-empty tuple of HNPair, a known flavor."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "pairs", pairs)
-        object.__setattr__(seq, "flavor", flavor)
+        _set(seq, "pairs", pairs)
+        _set(seq, "flavor", flavor)
         return seq
 
     @property
@@ -132,19 +179,28 @@ def format_hn(seq: HNSequence) -> str:
     return ",".join(f"{p.c}/{p.p}" for p in seq.pairs)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
     """A single failed axiom; ``index`` is the 1-based pair position."""
 
+    _fields = ("axiom", "index", "message")
     axiom: str
     index: int
     message: str
 
+    def __init__(self, axiom: str, index: int, message: str) -> None:
+        _set(self, "axiom", axiom)
+        _set(self, "index", index)
+        _set(self, "message", message)
 
-@dataclass(frozen=True)
-class ValidationReport:
+
+class ValidationReport(_Frozen):
+    _fields = ("ok", "violations")
     ok: bool
     violations: tuple[Violation, ...]
+
+    def __init__(self, ok: bool, violations: tuple[Violation, ...]) -> None:
+        _set(self, "ok", ok)
+        _set(self, "violations", violations)
 
     def summary(self) -> str:
         if self.ok:

@@ -9,7 +9,6 @@ run-length encoded because family formulas produce long constant runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from math import gcd
@@ -21,6 +20,8 @@ from .hn import (
     HNPair,
     HNSequence,
     STANDARD,
+    _Frozen,
+    _set,
     format_hn,
     require_valid,
     standard_form,
@@ -51,38 +52,40 @@ def _run_texts(runs, fmt: str, sep: str) -> Iterator[str]:
             yield sep.join(repeat(item, size))
 
 
-@dataclass(frozen=True)
-class MultiplicitySequence:
+class MultiplicitySequence(_Frozen):
     """Non-increasing multiplicity sequence, held as (value, count) runs.
 
     The reduced form drops trailing 1s (so it is empty for a smooth point);
     the full form keeps them and ends in 1.
     """
 
+    _fields = ("runs", "form")
     runs: tuple[tuple[int, int], ...]
-    form: str = REDUCED
+    form: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", tuple((index(v), index(n)) for v, n in self.runs))
-        if self.form not in (REDUCED, FULL):
-            raise ValueError(f"unknown multiplicity form {self.form!r}")
-        for v, n in self.runs:
+    def __init__(self, runs: Iterable[tuple[int, int]], form: str = REDUCED) -> None:
+        runs = tuple((index(v), index(n)) for v, n in runs)
+        if form not in (REDUCED, FULL):
+            raise ValueError(f"unknown multiplicity form {form!r}")
+        for v, n in runs:
             if v < 1 or n < 1:
                 raise ValueError(f"bad multiplicity run ({v},{n})")
-        values = [v for v, _ in self.runs]
+        values = [v for v, _ in runs]
         if any(a <= b for a, b in zip(values, values[1:])):
             raise ValueError("multiplicity runs must have strictly decreasing values")
-        if self.form == REDUCED and self.runs and values[-1] == 1:
+        if form == REDUCED and runs and values[-1] == 1:
             raise ValueError("reduced multiplicity sequence must not end in 1")
-        if self.form == FULL and (not self.runs or values[-1] != 1):
+        if form == FULL and (not runs or values[-1] != 1):
             raise ValueError("full multiplicity sequence must end in 1")
+        _set(self, "runs", runs)
+        _set(self, "form", form)
 
     @classmethod
     def _trusted(cls, runs: tuple[tuple[int, int], ...], form: str) -> "MultiplicitySequence":
         """A sequence known to be valid: merged (int, int) runs that suit `form`."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "runs", runs)
-        object.__setattr__(seq, "form", form)
+        _set(seq, "runs", runs)
+        _set(seq, "form", form)
         return seq
 
     @classmethod
@@ -152,20 +155,20 @@ def parse_multiplicity(text: str, form: str = REDUCED) -> MultiplicitySequence:
     return MultiplicitySequence.from_entries(entries, form)
 
 
-@dataclass(frozen=True)
-class PuiseuxCharacteristic:
+class PuiseuxCharacteristic(_Frozen):
     """The exponent tuple (beta0; beta1, ..., beta_g) of a cusp branch.
 
     The divisor chain e_0 = beta0, e_i = gcd(e_{i-1}, beta_i) must strictly
-    decrease to e_g = 1; it is precomputed and cached in ``e``.
+    decrease to e_g = 1; it is precomputed and cached in ``e``, which is no
+    field.
     """
 
+    _fields = ("beta",)
     beta: tuple[int, ...]
-    e: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    e: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        beta = tuple(map(index, self.beta))
-        object.__setattr__(self, "beta", beta)
+    def __init__(self, beta: Iterable[int]) -> None:
+        beta = tuple(map(index, beta))
         if len(beta) < 2:
             raise ValueError("a Puiseux characteristic needs beta0 and at least beta1")
         if beta[0] < 2:
@@ -179,7 +182,8 @@ class PuiseuxCharacteristic:
             e.append(gcd(e[-1], beta[i]))
         if e[-1] != 1:
             raise ValueError(f"gcd chain ends at e_g = {e[-1]} != 1")
-        object.__setattr__(self, "e", tuple(e))
+        _set(self, "beta", beta)
+        _set(self, "e", tuple(e))
 
     @property
     def g(self) -> int:
@@ -205,35 +209,37 @@ def parse_puiseux_char(text: str) -> PuiseuxCharacteristic:
     return PuiseuxCharacteristic(tuple(int(t) for t in tokens))
 
 
-@dataclass(frozen=True)
-class PairList:
+class PairList(_Frozen):
     """Puiseux pairs (m_i, n_i) or Zariski pairs (b_i, a_i), in branch order."""
 
+    _fields = ("kind", "pairs")
     kind: str
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple((index(x), index(y)) for x, y in self.pairs))
-        if self.kind not in (PUISEUX, ZARISKI):
-            raise ValueError(f"unknown pair-list kind {self.kind!r}")
-        if not self.pairs:
+    def __init__(self, kind: str, pairs: Iterable[tuple[int, int]]) -> None:
+        pairs = tuple((index(x), index(y)) for x, y in pairs)
+        if kind not in (PUISEUX, ZARISKI):
+            raise ValueError(f"unknown pair-list kind {kind!r}")
+        if not pairs:
             raise ValueError("pair list must be non-empty")
-        if self.kind == PUISEUX:
-            for m, n in self.pairs:
+        if kind == PUISEUX:
+            for m, n in pairs:
                 if n < 2:
                     raise ValueError(f"Puiseux pair ({m},{n}) needs n >= 2")
                 if gcd(m, n) != 1:
                     raise ValueError(f"Puiseux pair ({m},{n}) must be coprime")
-            if self.pairs[0][0] <= self.pairs[0][1]:
-                raise ValueError(f"first Puiseux pair {self.pairs[0]} needs m1 > n1")
+            if pairs[0][0] <= pairs[0][1]:
+                raise ValueError(f"first Puiseux pair {pairs[0]} needs m1 > n1")
         else:
-            for b, a in self.pairs:
+            for b, a in pairs:
                 if b < 2:
                     raise ValueError(f"Zariski pair ({b},{a}) needs b >= 2")
                 if gcd(a, b) != 1:
                     raise ValueError(f"Zariski pair ({b},{a}) must be coprime")
-            if self.pairs[0][1] <= self.pairs[0][0]:
-                raise ValueError(f"first Zariski pair {self.pairs[0]} needs a1 > b1")
+            if pairs[0][1] <= pairs[0][0]:
+                raise ValueError(f"first Zariski pair {pairs[0]} needs a1 > b1")
+        _set(self, "kind", kind)
+        _set(self, "pairs", pairs)
 
     def to_text(self) -> str:
         return ",".join(f"({x},{y})" for x, y in self.pairs)
@@ -242,8 +248,7 @@ class PairList:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class Semigroup:
+class Semigroup(_Frozen):
     """Value semigroup of a plane branch, given by telescopic generators.
 
     The generators (b0, b1, ..., b_g) must be telescopic in the given order:
@@ -263,17 +268,16 @@ class Semigroup:
     `_alexander_texts` write both as text from it, with no object per entry.
     """
 
+    _fields = ("generators",)
     generators: tuple[int, ...]
     # least n with every integer >= n in the semigroup:
-    # sum of (n_i - 1) * b_i over i >= 1, minus b0, plus 1
-    conductor: int = field(init=False, repr=False, compare=False)
-    # (b_i, e_i, n_i, inverse of b_i/e_i mod n_i) for i = 1..g
-    _levels: tuple[tuple[int, int, int, int], ...] = field(
-        init=False, repr=False, compare=False)
+    # sum of (n_i - 1) * b_i over i >= 1, minus b0, plus 1; no field
+    conductor: int
+    # (b_i, e_i, n_i, inverse of b_i/e_i mod n_i) for i = 1..g; no field
+    _levels: tuple[tuple[int, int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        gens = tuple(map(index, self.generators))
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, generators: Iterable[int]) -> None:
+        gens = tuple(map(index, generators))
         if not gens or any(v < 1 for v in gens):
             raise ValueError("generators must be positive integers")
         levels: list[tuple[int, int, int, int]] = []
@@ -292,9 +296,9 @@ class Semigroup:
             e = e_next
         if e != 1:
             raise ValueError(f"generators {gens} have gcd {e} != 1")
-        object.__setattr__(self, "_levels", tuple(levels))
-        object.__setattr__(
-            self, "conductor", sum((n - 1) * b for b, _, n, _ in levels) - gens[0] + 1)
+        _set(self, "generators", gens)
+        _set(self, "_levels", tuple(levels))
+        _set(self, "conductor", sum((n - 1) * b for b, _, n, _ in levels) - gens[0] + 1)
 
     @property
     def gap_count(self) -> int:
@@ -305,18 +309,22 @@ class Semigroup:
     def _members(self) -> bytes:
         """[k in S] for 0 <= k <= conductor, read off the Apery set of b0.
 
-        The Apery set is the b0 normal-form sums with a_0 = 0; below each
-        element w lie the gaps w - b0, w - 2*b0, ... down to w mod b0.
+        The Apery set is the b0 normal-form sums with a_0 = 0; each element
+        w is the least member of its class mod b0, so the members are w,
+        w + b0, w + 2*b0, ... and the gaps lie below w.
         Sized first: a conductor past an index raises OverflowError before the Apery list.
+        The table starts as `bytearray(size)`, since a failed `bytearray * count`
+        frees a half-built object and may print a SystemError (CPython 3.11).
         """
-        table = bytearray(b"\x01") * (self.conductor + 1)
+        top = self.conductor
+        table = bytearray(top + 1)
         b0 = self.generators[0]
         apery = [0]
         for b, _, n, _ in self._levels:
             apery = [w + a * b for a in range(n) for w in apery]
-        zeros = memoryview(bytes(self.conductor // b0 + 1))
+        ones = memoryview(b"\x01" * (top // b0 + 1))
         for w in apery:
-            table[w % b0:w:b0] = zeros[:w // b0]
+            table[w::b0] = ones[:len(range(w, top + 1, b0))]
         return bytes(table)
 
     @cached_property
@@ -565,10 +573,10 @@ def compute_M_I(seq: HNSequence) -> tuple[int, int]:
     return m, i
 
 
-@dataclass(frozen=True)
-class CuspRecord:
+class CuspRecord(_Frozen):
     """Every numerical description of one cusp, mutually consistent."""
 
+    _fields = ("hn", "mult", "char", "puiseux", "zariski", "semigroup", "M", "I")
     hn: HNSequence
     mult: MultiplicitySequence
     char: PuiseuxCharacteristic
@@ -577,6 +585,18 @@ class CuspRecord:
     semigroup: Semigroup
     M: int
     I: int
+
+    def __init__(self, hn: HNSequence, mult: MultiplicitySequence,
+                 char: PuiseuxCharacteristic, puiseux: PairList, zariski: PairList,
+                 semigroup: Semigroup, M: int, I: int) -> None:
+        _set(self, "hn", hn)
+        _set(self, "mult", mult)
+        _set(self, "char", char)
+        _set(self, "puiseux", puiseux)
+        _set(self, "zariski", zariski)
+        _set(self, "semigroup", semigroup)
+        _set(self, "M", M)
+        _set(self, "I", I)
 
     def _json_fields(self, sep: str) -> dict:
         """`to_json_obj`, with the three long lists as pieces of items joined by `sep`."""

@@ -10,7 +10,6 @@ checks are reused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, Union
@@ -18,7 +17,7 @@ from typing import Iterable, Iterator, Union
 from .divisor import resolution_graph
 from .errors import NotStandard
 from .families import CurveRecord, FamilySpec, expected_reduced_multiplicities, generate
-from .hn import HNSequence, format_hn, standardize, validate
+from .hn import HNSequence, _Frozen, _set, format_hn, standardize, validate
 from .invariants import (
     FULL,
     MultiplicitySequence,
@@ -31,17 +30,27 @@ GENERIC = "generic"
 Q_ACYCLIC_CSTST = "q_acyclic_Cstst"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Frozen):
+    _fields = ("name", "passed", "lhs", "rhs")
     name: str
     passed: bool
     lhs: Union[int, str, MultiplicitySequence]
     rhs: Union[int, str, MultiplicitySequence]
 
+    def __init__(self, name: str, passed: bool, lhs: Union[int, str, MultiplicitySequence],
+                 rhs: Union[int, str, MultiplicitySequence]) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
-@dataclass(frozen=True)
-class AuditReport:
+
+class AuditReport(_Frozen):
+    _fields = ("checks",)
     checks: tuple[Check, ...]
+
+    def __init__(self, checks: tuple[Check, ...]) -> None:
+        _set(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -122,31 +131,34 @@ def kkd(curve: CurveRecord) -> int:
     return 9 - total - 2 + curve.gamma
 
 
-@dataclass(frozen=True)
-class FibrationLedger:
+class FibrationLedger(_Frozen):
     """Counting data of one C**-fibration: horizontal components h, the
     number nu of fibers contained in the boundary, and per-degenerate-fiber
     section counts sigma (with optional Euler characteristics)."""
 
+    _fields = ("h", "nu", "sigmas", "chis")
     h: int
     nu: int
     sigmas: tuple[int, ...]
-    chis: tuple[int, ...] | None = None
+    chis: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", index(self.h))
-        object.__setattr__(self, "nu", index(self.nu))
-        object.__setattr__(self, "sigmas", tuple(map(index, self.sigmas)))
-        if self.chis is not None:
-            object.__setattr__(self, "chis", tuple(map(index, self.chis)))
-        if self.h < 1:
-            raise ValueError(f"h = {self.h} must be >= 1")
-        if self.nu < 0:
-            raise ValueError(f"nu = {self.nu} must be >= 0")
-        if any(s < 1 for s in self.sigmas):
-            raise ValueError(f"every sigma must be >= 1, got {self.sigmas}")
-        if self.chis is not None and len(self.chis) != len(self.sigmas):
+    def __init__(self, h: int, nu: int, sigmas: Iterable[int],
+                 chis: Iterable[int] | None = None) -> None:
+        h, nu, sigmas = index(h), index(nu), tuple(map(index, sigmas))
+        if chis is not None:
+            chis = tuple(map(index, chis))
+        if h < 1:
+            raise ValueError(f"h = {h} must be >= 1")
+        if nu < 0:
+            raise ValueError(f"nu = {nu} must be >= 0")
+        if any(s < 1 for s in sigmas):
+            raise ValueError(f"every sigma must be >= 1, got {sigmas}")
+        if chis is not None and len(chis) != len(sigmas):
             raise ValueError("chis must pair up with sigmas")
+        _set(self, "h", h)
+        _set(self, "nu", nu)
+        _set(self, "sigmas", sigmas)
+        _set(self, "chis", chis)
 
 
 def fibration_ledger(ledger: FibrationLedger, mode: str = GENERIC) -> AuditReport:

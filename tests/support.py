@@ -31,6 +31,11 @@ from cuspforge.invariants import (
 )
 
 
+def replaced(obj, **changes):
+    """A copy of a value object with some fields changed, built by its public constructor."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
+
 def random_standard_hn(rng: random.Random, max_h: int = 4, cap: int = 10_000) -> HNSequence:
     """A uniform-ish valid standard sequence built from a ratio tower.
 

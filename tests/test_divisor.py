@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import pickle
@@ -62,6 +61,7 @@ from support import (
     random_fiber,
     random_standard_hn,
     random_tree,
+    replaced,
     resolution_corpus_hn,
     resolution_invariants_oracle,
     simulate_resolution,
@@ -757,7 +757,7 @@ class TestRunForm:
         runs = tuple(
             run._replace(end=run.end + data.draw(st.integers(-3, 2)))
             for run in res.runs)
-        altered = dataclasses.replace(res, runs=runs)
+        altered = replaced(res, runs=runs)
         assert (tuple(altered.invariants())
                 == resolution_invariants_oracle(altered.tree, res.c_vertex))
 
@@ -768,7 +768,7 @@ class TestRunForm:
         # rebuild's own pass and a pickle round trip, with any end weights
         res = resolution_graph(s)
         if data.draw(st.booleans()):
-            res = dataclasses.replace(res, runs=tuple(
+            res = replaced(res, runs=tuple(
                 run._replace(end=run.end + data.draw(st.integers(-3, 2)))
                 for run in res.runs))
         tree, inv = res.tree, res.invariants()
@@ -805,7 +805,7 @@ class TestRunForm:
         # inside the run of eight vertices 1..8 is not positive
         res = resolution_graph(parse_hn("54/48,6/11", STANDARD))
         ends = (-11, -5, -1, -6, 0)
-        altered = dataclasses.replace(res, runs=tuple(
+        altered = replaced(res, runs=tuple(
             run._replace(end=e) for run, e in zip(res.runs, ends)))
         assert altered.invariants() == (1, 2, 1, 67, False)
         assert not is_negative_definite(altered.tree)

@@ -102,6 +102,15 @@ def test_cli_loads_every_traced_module():
     assert "cuspforge.cli" in loaded
 
 
+def test_cli_loads_no_code_generation_machinery():
+    # the value classes need neither dataclasses nor what it imports; every
+    # CLI process and benchmark child would pay for loading them
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    script = ("import cuspforge.cli\n"
+              f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))\n")
+    assert json.loads(fresh(script)) == []
+
+
 def test_cli_loads_its_layers_before_argparse():
     # a layer compiled with argparse already resident raises the peak RSS
     # (sys.modules lists a module once it has finished loading)

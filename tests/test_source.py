@@ -41,6 +41,23 @@ def test_runtime_imports_only_the_standard_library():
     assert found == []
 
 
+def test_no_dataclasses():
+    # the value classes derive from hn._Frozen; `import dataclasses` costs
+    # every process that imports the CLI its import and per-class code generation
+    found = [f"{file}:{line}" for file, line, name in _absolute_imports()
+             if name == "dataclasses"]
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name == "dataclass":
+                        found.append(f"{path.name}:{deco.lineno}")
+    assert found == []
+
+
 def test_no_fractions_import():
     # every quantity is computed in exact integers; Fraction routes are test oracles
     found = [f"{file}:{line}" for file, line, name in _absolute_imports()
@@ -178,11 +195,11 @@ def _trusted_calls(node: ast.AST) -> list[int]:
 
 # data enters the package here, so each of these validates in full
 _VALIDATING = {
-    "hn.py": {"parse_hn", "HNSequence.from_json_obj", "HNSequence.__post_init__",
-              "HNPair.__post_init__"},
+    "hn.py": {"parse_hn", "HNSequence.from_json_obj", "HNSequence.__init__",
+              "HNPair.__init__"},
     "invariants.py": {"parse_multiplicity", "MultiplicitySequence.from_entries",
-                      "MultiplicitySequence.from_runs", "MultiplicitySequence.__post_init__"},
-    "divisor.py": {"Chain.__post_init__"},
+                      "MultiplicitySequence.from_runs", "MultiplicitySequence.__init__"},
+    "divisor.py": {"Chain.__init__"},
     "families.py": {"expected_reduced_multiplicities"},
 }
 

@@ -137,10 +137,9 @@ class TestValidationCount:
             return wrapper
 
         monkeypatch.setattr(hn, "_check_axioms", counting("axioms", hn._check_axioms))
-        monkeypatch.setattr(HNSequence, "__post_init__",
-                            counting("hn", HNSequence.__post_init__))
-        monkeypatch.setattr(MultiplicitySequence, "__post_init__",
-                            counting("mult", MultiplicitySequence.__post_init__))
+        monkeypatch.setattr(HNSequence, "__init__", counting("hn", HNSequence.__init__))
+        monkeypatch.setattr(MultiplicitySequence, "__init__",
+                            counting("mult", MultiplicitySequence.__init__))
         std = counting("standardize", standardize)
         monkeypatch.setattr(verify, "standardize", std)
         monkeypatch.setattr(families, "standardize", std)

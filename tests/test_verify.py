@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 
@@ -23,6 +22,7 @@ from cuspforge.verify import (
     full_audit,
     kkd,
 )
+from support import replaced
 
 
 def curve(degree, gamma, *hn_texts):
@@ -206,7 +206,7 @@ def corrupting(real, index):
         res = real(seq)
         runs = list(res.runs)
         runs[index] = runs[index]._replace(end=runs[index].end - 1)
-        return dataclasses.replace(res, runs=tuple(runs))
+        return replaced(res, runs=tuple(runs))
     return corrupted
 
 
