@@ -239,15 +239,36 @@ class CurveRecord(_Frozen):
 def generate(spec: FamilySpec) -> CurveRecord:
     """Emit the raw printed cusps plus their standard forms for one instance."""
     check_domain(spec)
+    return _build(spec, {})
+
+
+def _build(spec: FamilySpec, table: dict) -> CurveRecord:
+    """The record of an admissible instance, its cusps taken from table.
+
+    The table maps the raw pairs (c, p) of a cusp, as the family formula
+    gives them, to its (raw, standard) sequence pair; a cusp missing from
+    it is built, validated and standardized, then entered.
+    """
     family, params = _FAMILIES[spec.id], spec.params
-    cusps = (HNSequence(tuple(HNPair(c, p) for c, p in pairs), RAW)
-             for pairs in family.cusps(*params))
-    return CurveRecord.from_cusps(
-        family.degree(*params), family.gamma(*params), cusps, family=spec)
+    cusps = []
+    for pairs in family.cusps(*params):
+        key = tuple(pairs)
+        cusp = table.get(key)
+        if cusp is None:
+            raw = HNSequence(tuple(HNPair(c, p) for c, p in pairs), RAW)
+            cusp = table[key] = (raw, standardize(raw))
+        cusps.append(cusp)
+    return CurveRecord(degree=index(family.degree(*params)),
+                       gamma=index(family.gamma(*params)),
+                       cusps=tuple(cusps), family=spec)
 
 
 def enumerate_curves(max_degree: int) -> list[CurveRecord]:
     """Every family instance of degree at most max_degree, exactly once.
+
+    Each distinct raw cusp is built and standardized once per call, and the
+    records that carry it share its two sequences; no call shares them with
+    another.
 
     Order: family id (FZ1, A, B, C, D, E, F, G, OR1, OR2), then parameters
     ascending lexicographically.  One sweep serves every family; it rests
@@ -263,7 +284,8 @@ def enumerate_curves(max_degree: int) -> list[CurveRecord]:
        parameter form one interval, so its sweep stops at the first value
        refused after one admitted.
     """
-    return [generate(FamilySpec(fid, params))
+    table: dict = {}
+    return [_build(FamilySpec(fid, params), table)
             for fid in FAMILY_IDS for params in _sweep(fid, (), max_degree)]
 
 
