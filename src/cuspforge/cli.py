@@ -182,11 +182,8 @@ def _print_report(report: AuditReport) -> None:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     if (args.hn is None) == (args.mult is None):
         raise ValueError("invariants needs exactly one of --hn or --mult")
-    if args.hn is not None:
-        std = standardize(parse_hn(args.hn))
-    else:
-        std = multiplicity_to_standard_hn(parse_multiplicity(args.mult))
-    record = cusp_record(std)
+    source = "hn" if args.hn is not None else "mult"
+    record = cusp_record(_to_standard_hn(source, getattr(args, source)))
     record.semigroup._members     # raises past an index, before any output
     if args.json:
         pad = "\n  "
@@ -358,10 +355,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.family is not None:
         if explicit:
             raise ValueError("verify takes either --family or an explicit curve, not both")
-        name = args.family[0]
-        if name not in FAMILY_IDS:
-            raise ValueError(f"unknown family {name!r}")
-        spec = FamilySpec(name, tuple(_int(tok) for tok in args.family[1:]))
+        # FamilySpec checks the id before it draws the parameters from the generator
+        spec = FamilySpec(args.family[0], (_int(tok) for tok in args.family[1:]))
         report = full_audit(spec)
     else:
         if args.degree is None or args.gamma is None or not args.hn:

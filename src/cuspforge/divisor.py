@@ -544,10 +544,6 @@ class ContractionResult(_Frozen):
     ok: bool
     order: tuple[int, ...]
 
-    def __init__(self, ok: bool, order: tuple[int, ...]) -> None:
-        _set(self, "ok", ok)
-        _set(self, "order", order)
-
     def __bool__(self) -> bool:
         return self.ok
 
@@ -612,12 +608,6 @@ class FiberReport(_Frozen):
     shape: str
     multiplicities: tuple[int, ...]
     minus_one_vertices: tuple[int, ...]
-
-    def __init__(self, shape: str, multiplicities: tuple[int, ...],
-                 minus_one_vertices: tuple[int, ...]) -> None:
-        _set(self, "shape", shape)
-        _set(self, "multiplicities", multiplicities)
-        _set(self, "minus_one_vertices", minus_one_vertices)
 
 
 def _walk(adj: list[list[tuple[int, int]]], v: int, prev: int) -> list[int]:
@@ -735,14 +725,6 @@ class MarkedResolution(_Frozen):
     c_vertex: int
     mult: MultiplicitySequence
     hn: HNSequence
-
-    def __init__(self, runs: tuple[Run, ...], links: tuple[tuple[int, int], ...],
-                 c_vertex: int, mult: MultiplicitySequence, hn: HNSequence) -> None:
-        _set(self, "runs", runs)
-        _set(self, "links", links)
-        _set(self, "c_vertex", c_vertex)
-        _set(self, "mult", mult)
-        _set(self, "hn", hn)
 
     def __len__(self) -> int:
         """The number of vertices, one per blowup; OverflowError past an index."""
@@ -945,19 +927,6 @@ class ChainIdentityReport(_Frozen):
     d_b: int
     d_a_trunc: int
     d_b_trunc: int
-
-    def __init__(self, c: int, p: int, q_chain: Chain, a_side: tuple[int, ...],
-                 b_side: tuple[int, ...], d_a: int, d_b: int, d_a_trunc: int,
-                 d_b_trunc: int) -> None:
-        _set(self, "c", c)
-        _set(self, "p", p)
-        _set(self, "q_chain", q_chain)
-        _set(self, "a_side", a_side)
-        _set(self, "b_side", b_side)
-        _set(self, "d_a", d_a)
-        _set(self, "d_b", d_b)
-        _set(self, "d_a_trunc", d_a_trunc)
-        _set(self, "d_b_trunc", d_b_trunc)
 
     @property
     def ok(self) -> bool:

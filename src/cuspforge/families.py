@@ -312,10 +312,6 @@ class DistinctnessReport(_Frozen):
     total: int
     collisions: tuple[tuple[CurveRecord, ...], ...]
 
-    def __init__(self, total: int, collisions: tuple[tuple[CurveRecord, ...], ...]) -> None:
-        _set(self, "total", total)
-        _set(self, "collisions", collisions)
-
     @property
     def ok(self) -> bool:
         return not self.collisions

@@ -35,27 +35,36 @@ _set = object.__setattr__
 class _Frozen:
     """Base of the package's value classes: immutable, equal and hashed by fields.
 
-    A subclass names its fields in order in `_fields` and sets each one with
-    `_set` in its own `__init__`.  Two instances are equal when they are of
-    the same class and their field tuples are equal, and the hash is the
-    hash of that tuple.  Attributes outside `_fields` (derived values and
-    caches) take no part in equality, hashing or repr.  Assigning or
-    deleting an attribute raises AttributeError.  The state is the instance
-    `__dict__`, which pickle writes and restores without calling
-    `__init__`.
+    A subclass names its fields in order in `_fields`, and is built from
+    them, positionally or by keyword and with no defaults, unless an
+    `__init__` written by hand in it or a base validates them and sets each
+    one with `_set`.  Two instances are equal when they are of the same
+    class and their field tuples are equal, and the hash is the hash of
+    that tuple.  Attributes outside `_fields` (derived values and caches)
+    take no part in equality, hashing or repr.  Assigning or deleting an
+    attribute raises AttributeError.  The state is the instance `__dict__`,
+    which pickle writes and restores without calling `__init__`.
 
-    `__eq__` and `__hash__` are compiled once per class from the field
-    names, so each field is a plain attribute load: `operator.attrgetter`
-    costs more per call, and a cusp's pairs are hashed on every audit cache
-    lookup.  A class that defines its own `__eq__` keeps both of its own.
+    `__init__`, `__eq__` and `__hash__` are compiled once per class from
+    the field names, so each field is a plain `_set` call or attribute
+    load: `operator.attrgetter` costs more per call, and a cusp's pairs are
+    hashed on every audit cache lookup.  A class that defines its own
+    `__eq__` keeps both of its own.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls._fields
+        cls.__match_args__ = names = cls._fields
+        # an inherited compiled `__init__` (from "<string>") may name other fields
+        if cls.__init__ is object.__init__ or cls.__init__.__code__.co_filename == "<string>":
+            scope = {}
+            exec(f"def __init__(self, {', '.join(names)}): "
+                 + "; ".join(f"_set(self, {name!r}, {name})" for name in names), globals(), scope)
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
         if "__eq__" not in vars(cls):
-            mine = "".join(f"self.{name}," for name in cls._fields)
+            mine = "".join(f"self.{name}," for name in names)
             theirs = mine.replace("self.", "other.")
             cls.__eq__, cls.__hash__ = eval(
                 f"(lambda self, other: ({mine}) == ({theirs})"
@@ -187,20 +196,11 @@ class Violation(_Frozen):
     index: int
     message: str
 
-    def __init__(self, axiom: str, index: int, message: str) -> None:
-        _set(self, "axiom", axiom)
-        _set(self, "index", index)
-        _set(self, "message", message)
-
 
 class ValidationReport(_Frozen):
     _fields = ("ok", "violations")
     ok: bool
     violations: tuple[Violation, ...]
-
-    def __init__(self, ok: bool, violations: tuple[Violation, ...]) -> None:
-        _set(self, "ok", ok)
-        _set(self, "violations", violations)
 
     def summary(self) -> str:
         if self.ok:

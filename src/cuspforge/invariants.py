@@ -586,18 +586,6 @@ class CuspRecord(_Frozen):
     M: int
     I: int
 
-    def __init__(self, hn: HNSequence, mult: MultiplicitySequence,
-                 char: PuiseuxCharacteristic, puiseux: PairList, zariski: PairList,
-                 semigroup: Semigroup, M: int, I: int) -> None:
-        _set(self, "hn", hn)
-        _set(self, "mult", mult)
-        _set(self, "char", char)
-        _set(self, "puiseux", puiseux)
-        _set(self, "zariski", zariski)
-        _set(self, "semigroup", semigroup)
-        _set(self, "M", M)
-        _set(self, "I", I)
-
     def _json_fields(self, sep: str) -> dict:
         """`to_json_obj`, with the three long lists as pieces of items joined by `sep`."""
         return {

@@ -423,6 +423,11 @@ class TestVerify:
         assert err == ("error: verify needs --family, or --degree, "
                        "--gamma and at least one --hn\n")
 
+    @pytest.mark.parametrize("param", ["1", "x"])
+    def test_unknown_family_is_named_before_its_parameters(self, capsys, param):
+        code, out, err = invoke(capsys, "verify", "--family", "Z", param)
+        assert (code, out, err) == (2, "", "error: unknown family 'Z'\n")
+
 
 class TestLedger:
     def test_pass_with_euler(self, capsys):

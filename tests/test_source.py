@@ -219,6 +219,33 @@ def test_boundaries_never_trust():
     assert seen == {(file, name) for file, names in _VALIDATING.items() for name in names}
 
 
+def _copied_field(stmt: ast.stmt):
+    """(field, value name) of a statement `_set(self, "f", v)`, else None."""
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        args = stmt.value.args
+        if (getattr(stmt.value.func, "id", None) == "_set" and len(args) == 3
+                and isinstance(args[1], ast.Constant) and isinstance(args[2], ast.Name)):
+            return args[1].value, args[2].id
+    return None
+
+
+def test_no_hand_written_field_copying_constructor():
+    # `_Frozen` compiles an `__init__` from `_fields`; a hand-written one that
+    # only copies its parameters repeats that list
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for name, node in _function_nodes(path):
+            if not name.endswith(".__init__"):
+                continue
+            params = {a.arg for a in node.args.args + node.args.kwonlyargs}
+            body = [s for s in node.body if not (
+                isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+            copies = [_copied_field(s) for s in body]
+            if all(c is not None and c[0] == c[1] and c[1] in params for c in copies):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_package_init_imports_no_submodule():
     # `import cuspforge` runs `__init__.py` alone; a public name imports its
     # submodule on first use, from inside `__getattr__`

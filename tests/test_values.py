@@ -6,6 +6,7 @@ pickled as its field dict, so that pickles load across versions.
 """
 
 import base64
+import inspect
 import pickle
 import random
 
@@ -27,7 +28,7 @@ from cuspforge.invariants import (
     Semigroup,
     cusp_record,
 )
-from cuspforge.verify import FibrationLedger, full_audit
+from cuspforge.verify import Check, FibrationLedger, full_audit
 from support import random_fiber, random_standard_hn, random_tree, replaced
 
 
@@ -57,6 +58,9 @@ def _instances() -> dict:
 INSTANCES = _instances()
 # equal up to isomorphism (WeightedTree) or reversal (Chain), with a hash to match
 CUSTOM_EQ = {"WeightedTree", "Chain"}
+# the records that validate nothing, built by the constructor `_Frozen` compiles
+PLAIN = {"Violation", "ValidationReport", "CuspRecord", "ContractionResult", "FiberReport",
+         "MarkedResolution", "ChainIdentityReport", "DistinctnessReport", "Check", "AuditReport"}
 
 
 def _twin(obj, base):
@@ -100,6 +104,50 @@ def test_value_contract(name):
 
     back = pickle.loads(pickle.dumps(obj))
     assert type(back) is cls and back == obj and hash(back) == hash(obj)
+
+
+def test_only_the_plain_records_use_the_compiled_constructor():
+    compiled = {name for name, obj in INSTANCES.items()
+                if type(obj).__init__.__code__.co_filename == "<string>"}
+    assert compiled == PLAIN
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN))
+def test_construction_by_fields(name):
+    obj = INSTANCES[name]
+    cls = type(obj)
+    values = [getattr(obj, field) for field in obj._fields]
+    by_name = dict(zip(obj._fields, values))
+    params = inspect.signature(cls).parameters.values()
+    assert [p.name for p in params] == list(obj._fields)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
+    assert cls.__init__.__qualname__ == f"{name}.__init__"
+
+    for built in (cls(*values), cls(**by_name)):
+        assert type(built) is cls and built == obj and hash(built) == hash(obj)
+        assert all(getattr(built, f) is v for f, v in by_name.items())
+        assert vars(built) == by_name
+
+    with pytest.raises(TypeError, match=f"{name}.__init__.. missing 1 required"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(**by_name, extra=None)
+
+
+def test_a_subclass_keeps_a_hand_written_constructor():
+    class Pair(HNPair):
+        pass
+
+    class Report(Check):
+        _fields = Check._fields + ("note",)
+
+    with pytest.raises(TypeError, match="HN pair entries must be integers"):
+        Pair(0, "x")
+    assert Pair(13, 4).c == 13
+    assert Report("a", True, 1, 1, "n").note == "n"
+    assert list(inspect.signature(Report).parameters) == list(Report._fields)
 
 
 def test_repr_shows_fields_only():

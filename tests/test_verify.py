@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import cuspforge.verify as verify
 from cuspforge.errors import NotStandard
 from cuspforge.families import CurveRecord, FamilySpec, enumerate_curves, generate
-from cuspforge.hn import STANDARD, parse_hn
+from cuspforge.hn import RAW, STANDARD, HNPair, HNSequence, parse_hn
 from cuspforge.invariants import MultiplicitySequence
 from cuspforge.verify import (
     GENERIC,
@@ -380,11 +380,20 @@ class TestFailingRecords:
               ("hn_equation_a", 14, 12), ("hn_equation_b", 26, 30),
               ("hn_equation_c", 12, 18), ("E2_single_cusp_bound", -1, -2)]),
         ]
+        hn_rows = {"cusp1_standardize_idempotent", "cusp1_raw_standardizes_to",
+                   "cusp1_multiplicity_round_trip"}
         for cusps, failed in cases:
             rep = full_audit(CurveRecord(5, 1, cusps))
             assert [c.name for c in rep.checks] == self.names(1, table=False) + [
                 "E2_single_cusp_bound", "E2_general_bound", "kkd_nonnegative"]
-            assert [(c.name, c.lhs, c.rhs) for c in rep.failed()] == failed
+            rows = []
+            for c in rep.failed():
+                if c.name in hn_rows:
+                    assert isinstance(c.lhs, HNSequence) and isinstance(c.rhs, HNSequence)
+                    rows.append((c.name, str(c.lhs), str(c.rhs)))
+                else:
+                    rows.append((c.name, c.lhs, c.rhs))
+            assert rows == failed
 
     def test_declared_standard_but_not_standard_is_refused(self):
         record = CurveRecord(5, 1, ((parse_hn("4/2,2/1"), parse_hn("4/2,2/1", STANDARD)),))
@@ -399,3 +408,14 @@ class TestAuditScaling:
         rep = full_audit(FamilySpec("G", (10**12,)))
         assert time.process_time() - t0 < 2.0
         assert rep.ok
+
+    def test_cusp_checks_never_print_a_huge_pair(self):
+        # the HN checks compare pairs, not decimal text, which Python refuses
+        # to write past 4300 digits
+        record = CurveRecord.from_cusps(3, 1, [HNSequence((HNPair(10**5000 + 1, 2),), RAW)])
+        t0 = time.process_time()
+        rep = full_audit(record)
+        assert time.process_time() - t0 < 0.1
+        cusp = [c for c in rep.checks if c.name.startswith("cusp1_")]
+        assert [c.name for c in cusp] == [f"cusp1_{check}" for check in CUSP_CHECKS]
+        assert all(c.passed for c in cusp)
