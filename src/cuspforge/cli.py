@@ -65,8 +65,16 @@ def _int(token: str) -> int:
         raise ValueError(f"invalid integer {token!r}") from None
 
 
+def _int_arg(token: str) -> int:
+    """`_int` as an argparse type: a bad token is a usage error of its argument."""
+    try:
+        return _int(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(_int(tok.strip()) for tok in text.split(","))
+    return tuple(_int_arg(tok.strip()) for tok in text.split(","))
 
 
 def _parse_pair_list(text: str, kind: str) -> PairList:
@@ -385,27 +393,38 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its routes, built once per process.
+
+    Parsing leaves both unchanged.  A route maps the subcommand names that
+    open an argv, such as ``("family", "gen")``, to their leaf parser and
+    the ``command``/``action`` values that the subparsers would set.
+    """
     parser = argparse.ArgumentParser(
         prog="cuspforge",
         description="Exact-arithmetic invariants of plane-curve cusps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    routes = {}
 
-    p = sub.add_parser("invariants", help="full invariant record of one cusp")
+    def leaf(subparsers, *route: str, **kwargs) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(route[-1], **kwargs)
+        routes[route] = p, dict(zip(("command", "action"), route))
+        return p
+
+    p = leaf(sub, "invariants", help="full invariant record of one cusp")
     p.add_argument("--hn", help="HN pairs, e.g. '6/4,2/3'")
     p.add_argument("--mult", help="reduced multiplicity sequence, e.g. '4,2,2,2'")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_invariants)
 
-    p = sub.add_parser("convert", help="convert between cusp representations")
+    p = leaf(sub, "convert", help="convert between cusp representations")
     p.add_argument("--from", dest="source", required=True, choices=REPRESENTATIONS)
     p.add_argument("--to", dest="target", required=True, choices=REPRESENTATIONS)
     p.add_argument("text", help="input in the --from representation")
     p.set_defaults(handler=_cmd_convert)
 
-    p = sub.add_parser("resolve", help="dual graph of the minimal embedded resolution")
+    p = leaf(sub, "resolve", help="dual graph of the minimal embedded resolution")
     p.add_argument("--hn", required=True, help="HN pairs, e.g. '13/4'")
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", metavar="PATH", help="write DOT to PATH ('-' for stdout)")
@@ -413,44 +432,75 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="curve families")
     fam_sub = p.add_subparsers(dest="action", required=True)
-    g = fam_sub.add_parser("gen", help="generate one family instance")
+    g = leaf(fam_sub, "family", "gen", help="generate one family instance")
     g.add_argument("id", choices=FAMILY_IDS)
-    g.add_argument("params", nargs="*", type=_int)
+    g.add_argument("params", nargs="*", type=_int_arg)
     g.add_argument("--json", action="store_true")
     g.add_argument("--audit", action="store_true")
     g.set_defaults(handler=_cmd_family_gen)
-    e = fam_sub.add_parser("enumerate", help="all instances up to a degree bound")
-    e.add_argument("--max-degree", required=True, type=_int)
+    e = leaf(fam_sub, "family", "enumerate", help="all instances up to a degree bound")
+    e.add_argument("--max-degree", required=True, type=_int_arg)
     e.add_argument("--json", action="store_true")
     e.add_argument("--audit", action="store_true")
     e.set_defaults(handler=_cmd_family_enumerate)
 
-    p = sub.add_parser("verify", help="run the full audit on a curve")
+    p = leaf(sub, "verify", help="run the full audit on a curve")
     p.add_argument("--family", nargs="+", metavar="ID|PARAM",
                    help="family id followed by its parameters")
-    p.add_argument("--degree", type=_int)
-    p.add_argument("--gamma", type=_int)
+    p.add_argument("--degree", type=_int_arg)
+    p.add_argument("--gamma", type=_int_arg)
     p.add_argument("--hn", action="append", default=[],
                    help="one cusp; repeat for several")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("ledger", help="fibration counting identities")
-    p.add_argument("--h", required=True, type=_int)
-    p.add_argument("--nu", required=True, type=_int)
+    p = leaf(sub, "ledger", help="fibration counting identities")
+    p.add_argument("--h", required=True, type=_int_arg)
+    p.add_argument("--nu", required=True, type=_int_arg)
     p.add_argument("--sigmas", required=True, type=_int_list)
     p.add_argument("--chis", type=_int_list)
     p.add_argument("--mode", choices=(GENERIC, Q_ACYCLIC_CSTST), default=GENERIC)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_ledger)
 
-    return parser
+    return parser, routes
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``parse_args(argv)`` of the full parser, in one argparse pass where it can.
+
+    An argv that opens with a route goes straight to its leaf parser, which
+    is what the subparsers would call.  Any other argv, and one the leaf
+    leaves arguments over from, goes through the full parser, so every help
+    text and usage error comes from it as before.
+    """
+    parser, routes = _build_parser()
+    route = routes.get(tuple(argv[:1])) or routes.get(tuple(argv[:2]))
+    if route is not None:
+        leaf, names = route
+        args, extras = leaf.parse_known_args(argv[len(names):], argparse.Namespace(**names))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    """Run one CLI command in this process and return its exit code.
+
+    `argv` holds the arguments after the program name (any sequence of
+    strings); None reads ``sys.argv[1:]``.  Exit codes: 0 on success, 1
+    when an audit or ledger check fails, 2 for a usage error (argparse's
+    ``usage:`` line and ``cuspforge <command>: error: ...`` on stderr) or
+    an input error (``error: ...`` on stderr).  Help exits 0.
+
+    The parser is built once per process and reused by every call.  An argv
+    that opens with a subcommand's exact name (``family gen`` and ``family
+    enumerate`` for the nested ones) is parsed by that subcommand's parser
+    alone; any other argv, or one with arguments left over, goes through
+    the full parser, so help, usage errors and exit codes are the same.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

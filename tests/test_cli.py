@@ -540,6 +540,141 @@ class TestTopLevel:
         assert first == second
 
 
+def full_parse(argv):
+    """The reference route: every argv through the full parser's parse_args."""
+    return cli._build_parser()[0].parse_args(argv)
+
+
+def outcome(call, argv):
+    """(result, stdout, stderr) of call(argv); a SystemExit gives ("exit", code)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_routes_agree(argv, workdir):
+    """The routed parse and run end as the full parser's do, byte for byte."""
+    assert outcome(cli._parse, list(argv)) == outcome(full_parse, list(argv))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)     # a --dot PATH drawn from the vocabulary is written here
+        routed = outcome(run, list(argv))
+        mp.setattr(cli, "_parse", full_parse)
+        assert routed == outcome(run, list(argv))
+
+
+VALID_COMMANDS = [
+    ("invariants", "--hn", "6/4,2/3", "--json"),
+    ("invariants", "--mult", "4,2,2,2"),
+    ("invariants", "--hn", "7/3", "--hn", "6/4,2/3"),
+    ("convert", "--from", "hn", "--to", "mult", "6/4,2/3"),
+    ("convert", "--from=mult", "--to=hn", "4,2,2,2"),
+    ("resolve", "--hn", "13/4", "--dot", "-"),
+    ("resolve", "--hn", "6/4,2/3", "--json"),
+    ("family", "gen", "G", "3", "--audit"),
+    ("family", "gen", "--json", "A", "2", "3", "2"),
+    ("family", "gen", "--", "G", "3"),
+    ("family", "enumerate", "--max-degree", "8", "--audit"),
+    ("family", "enumerate", "--max-d", "5", "--json"),
+    ("family", "enumerate", "--max-degree=-3"),
+    ("verify", "--degree", "7", "--gamma", "2", "--hn", "6/4,2/3", "--hn", "7/3"),
+    ("verify", "--family", "FZ1", "5", "2", "--json"),
+    ("ledger", "--h", "3", "--nu", "0", "--sigmas", "2,1,1", "--chis", "0,0,0",
+     "--mode", "q_acyclic_Cstst"),
+    ("ledger", "--h", "2", "--nu", "1", "--sigmas", "1,2", "--json"),
+]
+
+ROUTING_CORPUS = VALID_COMMANDS + [
+    (), ("-h",), ("--help",), ("invariants", "-h"), ("family", "-h"),
+    ("family", "gen", "-h"), ("family", "enumerate", "--help"), ("ledger", "--help"),
+    ("family",), ("invar",), ("nonsense",), ("family", "generate", "G", "3"),
+    ("invariants", "--hn"), ("convert", "--from", "hn", "3/2"), ("family", "gen"),
+    ("family", "gen", "Z"), ("family", "gen", "A", "x"),
+    ("family", "enumerate", "--max-degree", "x"),
+    ("ledger", "--h", "1", "--nu", "0", "--sigmas", "2,x"),
+    ("verify", "--family", "G", "x"), ("verify", "--family", "G", "3", "--degree", "5"),
+    ("invariants", "--hn", "3/2", "extra"), ("invariants", "--bogus"),
+    ("family", "gen", "G", "3", "--bogus"), ("family", "enumerate", "--max-degree", "5", "x"),
+    ("resolve", "--hn", "3/2", "--json=1"), ("invariants", "--hn", "3/2", "--mult", "3,3"),
+    ("--", "invariants", "--hn", "3/2"), ("invariants", "--", "--hn", "3/2"),
+    ("invariants", "--hn", "3/2", "--"), ("family", "--", "gen", "G", "3"),
+    ("-h", "invariants"), ("family", "gen", "G", "3", "-h"),
+]
+
+ROUTING_VOCABULARY = [
+    "invariants", "convert", "resolve", "family", "gen", "enumerate", "verify",
+    "ledger", "--hn", "--mult", "--json", "--from", "--to", "--dot", "--audit",
+    "--max-degree", "--family", "--degree", "--gamma", "--h", "--nu", "--sigmas",
+    "--chis", "--mode", "G", "hn", "3/2", "x", "-3", "--", "-h",
+]
+
+
+class TestRouting:
+    """An argv that opens with a subcommand goes straight to its leaf parser."""
+
+    @pytest.mark.parametrize("argv", ROUTING_CORPUS, ids=" ".join)
+    def test_corpus_ends_as_the_full_parser(self, argv, tmp_path):
+        assert_routes_agree(argv, tmp_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(ROUTING_VOCABULARY), max_size=6))
+    def test_drawn_argv_ends_as_the_full_parser(self, tmp_path_factory, argv):
+        assert_routes_agree(argv, tmp_path_factory.mktemp("routing"))
+
+    def test_routed_command_skips_the_full_parser(self, capsys, monkeypatch):
+        parser, _ = cli._build_parser()
+        calls = []
+
+        def spy(real):
+            def call(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(parser, name, spy(getattr(parser, name)))
+        for argv in VALID_COMMANDS:
+            assert invoke(capsys, *argv)[0] in (0, 1)
+        assert calls == []
+        assert invoke(capsys, "invar")[0] == 2
+        assert calls
+
+    def test_argv_forms(self, capsys, monkeypatch):
+        argv = ["family", "gen", "G", "3", "--json"]
+        want = invoke(capsys, *argv)
+        assert want[0] == 0
+        assert (run(tuple(argv)), *capsys.readouterr()) == want
+        monkeypatch.setattr(sys, "argv", ["cuspforge", *argv])
+        assert (run(None), *capsys.readouterr()) == want
+        assert (run(), *capsys.readouterr()) == want
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,name,token", [
+        (("family", "enumerate", "--max-degree", "x"), "--max-degree", "x"),
+        (("family", "gen", "A", "2", "1.5"), "params", "1.5"),
+        (("verify", "--degree", "x", "--gamma", "1", "--hn", "3/2"), "--degree", "x"),
+        (("verify", "--gamma", "0x1"), "--gamma", "0x1"),
+        (("ledger", "--h", "x", "--nu", "0", "--sigmas", "1"), "--h", "x"),
+        (("ledger", "--h", "1", "--nu", "", "--sigmas", "1"), "--nu", ""),
+        (("ledger", "--h", "1", "--nu", "0", "--sigmas", "2,x"), "--sigmas", "x"),
+        (("ledger", "--h", "1", "--nu", "0", "--sigmas", "1", "--chis", "0,,1"), "--chis", ""),
+    ])
+    def test_bad_integer_names_its_argument(self, capsys, argv, name, token):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(
+            f": error: argument {name}: invalid integer {token!r}")
+        assert "_int" not in err
+
+    def test_family_parameter_is_an_input_error(self, capsys):
+        assert invoke(capsys, "verify", "--family", "G", "x") == (
+            2, "", "error: invalid integer 'x'\n")
+
+
 # strings that need escaping: quotes, backslashes, control characters, non-ASCII
 json_strings = st.text(st.sampled_from('a1 "\\/\n\t\x00\x1f\x7fé€\U0001f600'), max_size=6) | st.text()
 json_scalars = (st.none() | st.booleans() | st.integers()
