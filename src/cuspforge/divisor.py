@@ -13,11 +13,11 @@ from its HN pairs.
 The resolution is held as runs: the blowups of one Euclidean quotient form
 a chain of (-2)-curves ending in the newest curve, so building it and
 computing its audited invariants cost O(#quotients) integer operations,
-however large the quotients.  The tree with one vertex per blowup is
-expanded only for callers that ask for a `WeightedTree`, never for output:
-DOT text and the CLI are written from the runs in bounded pieces.  The
-expanded tree reads its discriminant and definiteness from the run form,
-so checking them costs no second pass over its vertices.
+however large the quotients.  A resolution's `WeightedTree` holds the
+runs too: its size, discriminant and definiteness come from them, and
+its weights and edges, one per blowup, are expanded only when a caller
+reads them, never for output: DOT text and the CLI are written from the
+runs in bounded pieces.
 
 Determinants read one junction form, whatever the divisor: a weight list
 and a list of edges (a, b, k), where k counts the (-2)-curves that the
@@ -58,11 +58,16 @@ class WeightedTree(_Frozen):
 
     Equality and hashing are up to weight-preserving isomorphism (canonical
     rooted codes at the tree centers), not up to vertex numbering.
+
+    `weights` and `edges` are set at construction, except on the tree of a
+    resolution (`MarkedResolution.tree`), which holds the resolution's runs
+    and links instead and expands each field on its first read.  Its size,
+    discriminant and definiteness come from the runs, so reading them
+    expands nothing.  The state is the instance dict, expanded fields or
+    not: a tree pickled before expansion expands after unpickling.
     """
 
     _fields = ("weights", "edges")
-    weights: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
 
     def __init__(self, weights: Iterable[int], edges: Iterable[tuple[int, int]]) -> None:
         weights = tuple(map(index, weights))
@@ -113,8 +118,37 @@ class WeightedTree(_Frozen):
             _set(tree, "_dets", dets)
         return tree
 
+    @classmethod
+    def _from_runs(cls, runs: tuple[Run, ...], links: tuple[tuple[int, int], ...],
+                   dets: tuple[int, bool]) -> "WeightedTree":
+        """The tree of a resolution's run form, with its (discriminant, definite) pair."""
+        tree = object.__new__(cls)
+        _set(tree, "_runs", runs)
+        _set(tree, "_links", links)
+        _set(tree, "_dets", dets)
+        return tree
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """Set at construction, or expanded from the runs on first read."""
+        weights: list[int] = []
+        for first, length, end in self._runs:
+            weights += [-2] * (length - 1)
+            weights.append(end)
+        return tuple(weights)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Set at construction, or expanded from the runs and links on first read."""
+        edges: list[tuple[int, int]] = []
+        for a, b, n in _edge_walk(self._runs, self._links):
+            edges += zip(range(a, a + n), range(b, b + n))
+        return tuple(edges)
+
     def __len__(self) -> int:
-        return len(self.weights)
+        """The number of vertices; OverflowError past an index, as for a resolution."""
+        runs = self.__dict__.get("_runs")
+        return len(self.weights) if runs is None else runs[-1].newest + 1
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {v: [] for v in range(len(self.weights))}
@@ -714,9 +748,10 @@ class MarkedResolution(_Frozen):
     inside each run plus `links`, which join ends of runs.  c_vertex is
     the unique (-1)-curve, which the proper transform of the branch meets.
     mult is the full multiplicity sequence read off during the
-    construction.  `tree` expands the runs on first use, for callers that
-    want a `WeightedTree`; output (`dot_export` and the CLI) is written
-    from the runs and `_edge_walk` in bounded pieces and never expands it.
+    construction.  `tree` is the same divisor as a `WeightedTree`, which
+    expands the runs only when its weights or edges are read; output
+    (`dot_export` and the CLI) is written from the runs and `_edge_walk` in
+    bounded pieces and never expands them.
     """
 
     _fields = ("runs", "links", "c_vertex", "mult", "hn")
@@ -734,37 +769,17 @@ class MarkedResolution(_Frozen):
     def tree(self) -> WeightedTree:
         """The dual graph with one vertex per blowup; a tree by construction.
 
-        The tree takes its discriminant and definiteness from the run form,
-        in O(#runs), so `discriminant` and `is_negative_definite` of it make
-        no second pass over its vertices.
+        The tree holds the runs and links, not the resolution, and expands
+        its weights and edges only when they are read.  Its `len` reads the
+        runs, and its discriminant and definiteness are read off the run
+        form here, so all three cost O(#runs) whatever the number of vertices.
         """
-        weights: list[int] = []
-        for first, length, end in self.runs:
-            weights += [-2] * (length - 1)
-            weights.append(end)
-        edges: list[tuple[int, int]] = []
-        for a, b, n in self._edge_walk():
-            edges += zip(range(a, a + n), range(b, b + n))
         dets = _verdict(_subtree_determinants(*self._junction_form(), 0)[2])
-        return WeightedTree._trusted(tuple(weights), tuple(edges), dets)
+        return WeightedTree._from_runs(self.runs, self.links, dets)
 
     def _edge_walk(self):
-        """The edges in sorted (a, b) order, a < b, as pieces (a, b, n).
-
-        A piece stands for the n edges (a + i, b + i): the chain inside a
-        run is one piece, a link another.  Every link starts at the newest
-        vertex of a run, so after the chain of each run come the links of
-        its newest vertex, in order; that is the sorted order of all edges.
-        """
-        links = sorted(self.links)
-        i = 0
-        for first, length, _ in self.runs:
-            if length > 1:
-                yield first, first + 1, length - 1
-            newest = first + length - 1
-            while i < len(links) and links[i][0] == newest:
-                yield links[i][0], links[i][1], 1
-                i += 1
+        """The edges in sorted (a, b) order as pieces (a, b, n); see `_edge_walk`."""
+        return _edge_walk(self.runs, self.links)
 
     def _junction_form(self) -> tuple[list[int], list[tuple[int, int, int]]]:
         """The tree with every run interior contracted, numbered in id order.
@@ -838,6 +853,25 @@ class MarkedResolution(_Frozen):
             sides.append((root, (), 1))
         (_, left, d_left), (_, right, d_right) = sorted(sides)
         return (left, right) if d_left >= d_right else (right, left)
+
+
+def _edge_walk(runs: tuple[Run, ...], links: tuple[tuple[int, int], ...]):
+    """The edges of a run form in sorted (a, b) order, a < b, as pieces (a, b, n).
+
+    A piece stands for the n edges (a + i, b + i): the chain inside a run
+    is one piece, a link another.  Every link starts at the newest vertex
+    of a run, so after the chain of each run come the links of its newest
+    vertex, in order; that is the sorted order of all edges.
+    """
+    links = sorted(links)
+    i = 0
+    for first, length, _ in runs:
+        if length > 1:
+            yield first, first + 1, length - 1
+        newest = first + length - 1
+        while i < len(links) and links[i][0] == newest:
+            yield links[i][0], links[i][1], 1
+            i += 1
 
 
 def _resolve(hn: HNSequence) -> MarkedResolution:
@@ -975,16 +1009,22 @@ def _edge_texts(walk, mid: str, between: str):
 def _dot_pieces(obj):
     """`dot_export` text in pieces of at most _PIECE lines, from the run form.
 
+    A resolution, or its tree, is written from its runs and `_edge_walk`
+    and expands nothing; any other tree is written as runs of one vertex.
     A resolution too large to list raises OverflowError before the first
     piece.
     """
     if isinstance(obj, MarkedResolution):
-        len(obj)    # raises past an index, before any text
-        runs, walk, mark = obj.runs, obj._edge_walk(), obj.c_vertex
+        runs, links, mark = obj.runs, obj.links, obj.c_vertex
     else:
-        tree = _as_tree(obj)
-        runs = [Run(v, 1, w) for v, w in enumerate(tree.weights)]
-        walk, mark = ((a, b, 1) for a, b in tree.edges), None
+        obj = _as_tree(obj)
+        runs, links, mark = obj.__dict__.get("_runs"), obj.__dict__.get("_links"), None
+    len(obj)    # raises past an index, before any text
+    if runs is None:
+        runs = (Run(v, 1, w) for v, w in enumerate(obj.weights))
+        walk = ((a, b, 1) for a, b in obj.edges)
+    else:
+        walk = _edge_walk(runs, links)
     yield "graph Q {\n  node [shape=circle];\n"
     label = ' [label="-2"];\n'
     for first, length, end in runs:

@@ -35,7 +35,7 @@ FULL = "full"
 PUISEUX = "puiseux"
 ZARISKI = "zariski"
 
-_PIECE = 1 << 14    # items per piece of streamed output
+_PIECE = 1 << 12    # items per piece of streamed output
 
 
 def _spans(start: int, count: int):

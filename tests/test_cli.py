@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +255,19 @@ class TestResolveFromRuns:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    def test_json_peak_memory(self):
+        # 70,065 vertices; whole lists of them took 4 MiB, pieces of 2^14 edges 3.8 MiB
+        argv = ["resolve", "--hn", "140129/2", "--json"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert run(["resolve", "--hn", "3/2", "--json"]) == 0   # the parser, built once
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
     def test_too_many_vertices_write_no_file(self, capsys, tmp_path):
         target = tmp_path / "q.dot"
         code, _, err = invoke(capsys, "resolve", "--hn",
@@ -369,6 +383,18 @@ class TestGoldenOutput:
         sink = Md5Sink()
         with contextlib.redirect_stdout(sink):
             assert run(list(argv)) == 0
+        assert sink.md5.hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt,digest", [
+        ((), "31656bee4f3c5108e4f16af568a770ac"),
+        (("--json",), "70f6de746b5bf201587dd8fe1911c559"),
+        (("--dot", "-"), "dbd031ccdc30b61f4b232beb33e4f478"),
+    ])
+    def test_resolve(self, fmt, digest):
+        # the piece size feeds all three writers
+        sink = Md5Sink()
+        with contextlib.redirect_stdout(sink):
+            assert run(["resolve", "--hn", "140001/2", *fmt]) == 0
         assert sink.md5.hexdigest() == digest
 
     def test_enumerate_audit_to_degree_80(self):

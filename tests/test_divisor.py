@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pickle
@@ -5,6 +6,8 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+import weakref
 
 import pytest
 import sympy
@@ -16,6 +19,7 @@ from cuspforge.divisor import (
     CHAIN,
     Chain,
     ContractionResult,
+    MarkedResolution,
     NONDEGENERATE,
     OTHER,
     SPECIAL_FORK,
@@ -66,6 +70,7 @@ from support import (
     resolution_invariants_oracle,
     simulate_resolution,
     standard_hn_sequences,
+    stress_standard_hn,
     sylvester_definite_oracle,
     weighted_trees,
 )
@@ -81,6 +86,21 @@ def outcome(f, *args):
         return f(*args)
     except (ValueError, CuspforgeError) as exc:
         return type(exc).__name__, str(exc)
+
+
+def traced_peak(f) -> int:
+    """The tracemalloc peak, in bytes, of calling f()."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def expanded(tree: WeightedTree) -> tuple[str, ...]:
+    """The names of the tree's fields that its instance dict holds."""
+    return tuple(name for name in ("weights", "edges") if name in tree.__dict__)
 
 
 def random_site(rng, t):
@@ -852,6 +872,96 @@ class TestRunForm:
         assert "tree" not in res.__dict__
 
 
+class TestRunBackedTree:
+    """A resolution's tree, held as runs, against the eager tree of its vertices."""
+
+    @staticmethod
+    def check_against_eager(s):
+        res = resolution_graph(s)
+        tree = res.tree
+        assert res.tree is tree
+        assert type(tree) is WeightedTree
+        # the eager tree is built from a second resolution, so `tree` is still unexpanded
+        other = resolution_graph(s).tree
+        eager = WeightedTree(other.weights, other.edges)
+        assert len(tree) == len(eager) == res.c_vertex + 1
+        assert discriminant(tree) == discriminant(eager)
+        assert is_negative_definite(tree) == is_negative_definite(eager)
+        assert dot_export(tree) == dot_export(eager)
+        assert expanded(tree) == ()
+        before = pickle.loads(pickle.dumps(tree))
+        assert expanded(before) == ()
+        assert tree == eager and hash(tree) == hash(eager)
+        assert (tree.weights, tree.edges) == (eager.weights, eager.edges)
+        assert tree.adjacency() == eager.adjacency()
+        assert repr(tree) == repr(eager)
+        assert contracts_to_smooth_point(tree) == contracts_to_smooth_point(eager)
+        after = pickle.loads(pickle.dumps(tree))
+        assert expanded(after) == ("weights", "edges")
+        for back in (before, after):
+            assert type(back) is WeightedTree
+            assert back == eager and hash(back) == hash(eager)
+            assert (back.weights, back.edges) == (eager.weights, eager.edges)
+            assert (discriminant(back), is_negative_definite(back)) == (
+                discriminant(eager), is_negative_definite(eager))
+
+    @settings(max_examples=60)
+    @given(resolution_corpus_hn(cap=3000))
+    def test_matches_eager_tree_on_corpus(self, s):
+        self.check_against_eager(s)
+
+    def test_matches_eager_tree_on_random_cusps(self, rng):
+        for _ in range(40):
+            self.check_against_eager(random_standard_hn(rng, max_h=4, cap=3000))
+
+    @pytest.mark.parametrize("first", ["weights", "edges"])
+    def test_fields_expand_one_at_a_time(self, first):
+        tree = resolution_graph(parse_hn("6/4,2/3")).tree
+        getattr(tree, first)
+        assert expanded(tree) == (first,)
+
+    def test_holds_runs_not_the_resolution(self):
+        res = resolution_graph(parse_hn("987/144,3/1"))
+        tree = res.tree
+        assert not any(isinstance(value, MarkedResolution) for value in tree.__dict__.values())
+        # no reference cycle: the resolution goes as soon as its last name does
+        gone = weakref.ref(res)
+        del res
+        assert gone() is None
+        assert len(tree) == len(tree.weights)
+
+    def test_plain_tree_sets_both_fields(self):
+        assert expanded(WeightedTree((-1, -2), ((0, 1),))) == ("weights", "edges")
+        assert expanded(ch(2, 3).to_tree()) == ("weights", "edges")
+
+    @pytest.mark.parametrize("text", ["1000000000001/2", "12/8,4/6,2/1000000000001"])
+    def test_determinants_cost_no_vertex_memory(self, text):
+        # a bounded peak shows that no vertex list was made
+        seq = parse_hn(text)
+        got = []
+
+        def read():
+            res = resolution_graph(seq)
+            tree = res.tree
+            got.append((res.c_vertex, tree, len(tree), discriminant(tree),
+                        is_negative_definite(tree)))
+
+        assert traced_peak(read) < 64 * 1024
+        c_vertex, tree, size, *dets = got[0]
+        assert size == c_vertex + 1 > 10**11
+        assert dets == [1, True]
+        assert expanded(tree) == ()
+
+    def test_length_past_an_index(self):
+        tree = resolution_graph(parse_hn("6/4,2/99999999999999999999999")).tree
+        with pytest.raises(OverflowError):
+            len(tree)
+        with pytest.raises(OverflowError):
+            next(divisor._dot_pieces(tree))
+        assert (discriminant(tree), is_negative_definite(tree)) == (1, True)
+        assert expanded(tree) == ()
+
+
 class TestChainIdentities:
     def test_thirteen_four(self):
         rep = hn_chain_identities(13, 4)
@@ -933,3 +1043,23 @@ class TestDot:
         out = dot_export(ch(2, 3).to_tree())
         assert "E [shape=box]" not in out
         assert "doublecircle" not in out
+
+    def test_resolution_tree_bytes_unchanged(self):
+        # the digest of this corpus's DOT text when every tree was written
+        # vertex by vertex, before trees of resolutions were written from runs
+        digest = hashlib.md5()
+        for seed in range(40):
+            rng = random.Random(seed)
+            s = stress_standard_hn(rng) if seed % 2 else random_standard_hn(rng, max_h=4)
+            digest.update(dot_export(resolution_graph(s).tree).encode())
+        assert digest.hexdigest() == "264ab501a3ad331ba07680afdcee83b3"
+
+    def test_streamed_pieces_hold_no_vertex_list(self):
+        tree = resolution_graph(parse_hn("120001/2")).tree
+        eager = WeightedTree._trusted(tree.weights, tree.edges)
+        fresh = resolution_graph(parse_hn("120001/2")).tree
+        for t in (fresh, eager):
+            # 60,002 vertices: a Run or a line per vertex would take megabytes
+            assert traced_peak(lambda: sum(map(len, divisor._dot_pieces(t)))) < 1 << 20
+        assert expanded(fresh) == ()
+        assert dot_export(fresh) == dot_export(eager) == dot_export(tree)
