@@ -149,16 +149,13 @@ def _json_list(pieces, pad: str):
     """An indent-2 JSON array at level `pad`, in pieces.
 
     Each of `pieces` holds encoded items already joined by the item
-    separator; without pieces the array is "[]".
+    separator.  The pieces are never empty: a cusp has a gap, a reduced
+    multiplicity and at least three Alexander coefficients, and a
+    resolution at least three vertices and two edges.
     """
     inner = pad + "  "
-    body = _joined(pieces, "," + inner)
-    head = next(body, None)
-    if head is None:
-        yield "[]"
-        return
-    yield "[" + inner + head
-    yield from body
+    yield "[" + inner
+    yield from _joined(pieces, "," + inner)
     yield pad + "]"
 
 

@@ -103,19 +103,11 @@ class WeightedTree(_Frozen):
 
     @classmethod
     def _trusted(cls, weights: tuple[int, ...],
-                 edges: tuple[tuple[int, int], ...],
-                 dets: tuple[int, bool] | None = None) -> "WeightedTree":
-        """A tree known to be valid: int weights, sorted (a, b) edges with a < b.
-
-        `dets`, when given, is the tree's (discriminant, negative definite)
-        pair, already read off another form of the same divisor; it seeds
-        the cache of `_determinants`.
-        """
+                 edges: tuple[tuple[int, int], ...]) -> "WeightedTree":
+        """A tree known to be valid: int weights, sorted (a, b) edges with a < b."""
         tree = object.__new__(cls)
         _set(tree, "weights", weights)
         _set(tree, "edges", edges)
-        if dets is not None:
-            _set(tree, "_dets", dets)
         return tree
 
     @classmethod
@@ -680,8 +672,7 @@ def classify_fiber(t: Divisor) -> FiberReport:
     if max(degrees) <= 2:
         if len(minus_ones) == 1:
             m = minus_ones[0]
-            if len(adj[m]) < 2:
-                raise NotAFiber("unique (-1)-curve sits at a tip of the chain")
+            # m is no tip: `_fiber_pass` refuses a chain whose lone (-1)-curve is one.
             # U is read toward the (-1)-curve from the tip with the smaller id
             first, second = sorted((_walk(adj, u, m) for u, _ in adj[m]), key=lambda w: w[-1])
             before = tuple(-tree.weights[v] for v in reversed(first))

@@ -28,7 +28,7 @@ class NotStandard(CuspforgeError):
 
 
 class Inconsistent(CuspforgeError):
-    """Divisibility required by a pair-list conversion does not hold."""
+    """Kept for compatibility: no conversion raises it, since each one's divisions are exact."""
 
 
 class EntryBelowTwo(CuspforgeError):

@@ -15,7 +15,7 @@ from math import gcd
 from operator import index, sub
 from typing import Iterable, Iterator
 
-from .errors import Inconsistent, NotRealizable, NotStandard
+from .errors import NotRealizable
 from .hn import (
     HNPair,
     HNSequence,
@@ -105,10 +105,8 @@ class MultiplicitySequence(_Frozen):
     def reduced(self) -> "MultiplicitySequence":
         if self.form == REDUCED:
             return self
-        runs = self.runs
-        if runs and runs[-1][0] == 1:
-            runs = runs[:-1]
-        return MultiplicitySequence._trusted(runs, REDUCED)
+        # a full sequence is non-empty and ends in its 1-run
+        return MultiplicitySequence._trusted(self.runs[:-1], REDUCED)
 
     def full(self) -> "MultiplicitySequence":
         """Append the trailing 1-run; its length is the last entry above 1."""
@@ -226,6 +224,8 @@ class PairList(_Frozen):
             for m, n in pairs:
                 if n < 2:
                     raise ValueError(f"Puiseux pair ({m},{n}) needs n >= 2")
+                if m < 1:
+                    raise ValueError(f"Puiseux pair ({m},{n}) needs m >= 1")
                 if gcd(m, n) != 1:
                     raise ValueError(f"Puiseux pair ({m},{n}) must be coprime")
             if pairs[0][0] <= pairs[0][1]:
@@ -234,6 +234,8 @@ class PairList(_Frozen):
             for b, a in pairs:
                 if b < 2:
                     raise ValueError(f"Zariski pair ({b},{a}) needs b >= 2")
+                if a < 1:
+                    raise ValueError(f"Zariski pair ({b},{a}) needs a >= 1")
                 if gcd(a, b) != 1:
                     raise ValueError(f"Zariski pair ({b},{a}) must be coprime")
             if pairs[0][1] <= pairs[0][0]:
@@ -462,12 +464,7 @@ def puiseux_char_to_standard_hn(char: PuiseuxCharacteristic) -> HNSequence:
     for i in range(2, len(beta)):
         c_i = gcd(pairs[-1].c, pairs[-1].p)
         pairs.append(HNPair(c_i, beta[i] - beta[i - 1]))
-    seq = HNSequence._trusted(tuple(pairs), STANDARD)
-    report = validate(seq)
-    if not report.ok:
-        raise NotStandard(
-            f"characteristic {char} yields non-standard {format_hn(seq)}: {report.summary()}")
-    return seq
+    return HNSequence._trusted(tuple(pairs), STANDARD)
 
 
 def char_to_puiseux_pairs(char: PuiseuxCharacteristic) -> PairList:
@@ -497,17 +494,10 @@ def zariski_from_hn(seq: HNSequence) -> PairList:
         raise ValueError("Zariski pairs are read off the standard form")
     require_valid(seq)
     pairs = seq.pairs
-    h = len(pairs)
-    chain = [p.c for p in pairs] + [1]
-    out = []
-    for k in range(h):
-        num_b, num_a = (pairs[0].p, pairs[0].c) if k == 0 else (pairs[k].c, pairs[k].p)
-        d = chain[k + 1]
-        if num_b % d or num_a % d:
-            raise Inconsistent(
-                f"c{k + 2} = {d} does not divide stage {k + 1} of {format_hn(seq)}")
-        out.append((num_b // d, num_a // d))
-    return PairList(ZARISKI, tuple(out))
+    stages = [(pairs[0].p, pairs[0].c)] + [(q.c, q.p) for q in pairs[1:]]
+    # stage k divides exactly by c_{k+1} = gcd(c_k, p_k), and the last by 1
+    cuts = [q.c for q in pairs[1:]] + [1]
+    return PairList(ZARISKI, tuple((b // d, a // d) for (b, a), d in zip(stages, cuts)))
 
 
 def hn_from_zariski(pairs: PairList) -> HNSequence:
@@ -524,12 +514,7 @@ def hn_from_zariski(pairs: PairList) -> HNSequence:
     hn_pairs = [HNPair(as_[0] * suffix[1], bs[0] * suffix[1])]
     for k in range(1, h):
         hn_pairs.append(HNPair(suffix[k], as_[k] * suffix[k + 1]))
-    seq = HNSequence._trusted(tuple(hn_pairs), STANDARD)
-    report = validate(seq)
-    if not report.ok:
-        raise Inconsistent(
-            f"zariski pairs {pairs} yield non-standard {format_hn(seq)}: {report.summary()}")
-    return seq
+    return HNSequence._trusted(tuple(hn_pairs), STANDARD)
 
 
 def char_to_multiplicity(char: PuiseuxCharacteristic) -> MultiplicitySequence:

@@ -25,7 +25,9 @@ from cuspforge.hn import HNPair, HNSequence, RAW, STANDARD, format_hn
 from cuspforge.invariants import (
     FULL,
     CuspRecord,
+    ZARISKI,
     MultiplicitySequence,
+    PairList,
     PuiseuxCharacteristic,
     alexander_polynomial,
 )
@@ -692,6 +694,19 @@ def puiseux_characteristics(draw, max_beta0: int = 40, max_step: int = 60) -> Pu
         beta.append(b)
         e = gcd(e, b)
     return PuiseuxCharacteristic(tuple(beta))
+
+
+@st.composite
+def zariski_pair_lists(draw, max_h: int = 4, max_b: int = 7, max_a: int = 60) -> PairList:
+    """Valid Zariski pairs (b_i, a_i): b_i >= 2, a_i >= 1 prime to b_i, a_1 > b_1."""
+    pairs = []
+    for k in range(draw(st.integers(1, max_h))):
+        b = draw(st.integers(2, max_b))
+        a = draw(st.integers(b + 1 if k == 0 else 1, max_a))
+        while gcd(a, b) != 1:
+            a += 1
+        pairs.append((b, a))
+    return PairList(ZARISKI, tuple(pairs))
 
 
 def chains(min_size: int = 1, max_size: int = 8, low: int = 2, high: int = 6):

@@ -168,6 +168,15 @@ class TestConvert:
         assert code == 2
         assert err == "error: HN pair entries must be >= 1, got (6/0)\n"
 
+    @pytest.mark.parametrize("text,err", [
+        ("", "error: empty pair list text\n"),
+        (" ", "error: empty pair list text\n"),
+        ("(2,3)(2,3)", "error: invalid pair list text '(2,3)(2,3)'\n"),
+        ("2,3", "error: invalid pair list text '2,3'\n"),
+    ])
+    def test_bad_zariski_text(self, capsys, text, err):
+        assert invoke(capsys, "convert", "--from", "zariski", "--to", "hn", text) == (2, "", err)
+
     def test_unrealizable_mult(self, capsys):
         code, _, err = invoke(capsys, "convert", "--from", "mult",
                               "--to", "hn", "5,3")

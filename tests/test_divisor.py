@@ -19,6 +19,7 @@ from cuspforge.divisor import (
     CHAIN,
     Chain,
     ContractionResult,
+    FiberReport,
     MarkedResolution,
     NONDEGENERATE,
     OTHER,
@@ -118,6 +119,12 @@ class TestWeightedTree:
             WeightedTree((-2, -2), ((0, 1), (1, 0)))
         with pytest.raises(ValueError):
             WeightedTree((-2, -2, -2), ((0, 1), (0, 1)))
+        with pytest.raises(ValueError, match=r"bad edge \(0,2\) on 2 vertices"):
+            WeightedTree((-2, -2), ((0, 2),))
+        with pytest.raises(ValueError, match=r"bad edge \(1,1\)"):
+            WeightedTree((-2, -2), ((1, 1),))
+        with pytest.raises(ValueError, match="cycle"):
+            WeightedTree((-2,) * 4, ((0, 1), (1, 2), (0, 2)))
 
     def test_empty_and_single(self):
         assert len(WeightedTree((), ())) == 0
@@ -177,8 +184,10 @@ class TestChain:
         assert Chain.from_runs([(2, 0), 3]) == ch(3)
         assert Chain.from_runs([5, (2, -1), 3]) == ch(6)
         assert Chain.from_runs([(2, -1), 3, (2, 2)]) == ch(2, 2)
-        with pytest.raises(ValueError, match="negative run count"):
+        with pytest.raises(ValueError, match="negative run count on value 4"):
             Chain.from_runs([(4, -1), 3])
+        with pytest.raises(ValueError, match="negative run count -2"):
+            Chain.from_runs([(2, -2), 3])
         with pytest.raises(ValueError, match="followed by"):
             Chain.from_runs([5, (2, -1), 4])
 
@@ -586,6 +595,24 @@ class TestFibers:
     def test_minimal_fork_multiplicities(self):
         fork = WeightedTree((-2, -2, -2, -1), ((0, 1), (0, 2), (0, 3)))
         assert fiber_multiplicities(fork) == (2, 1, 1, 2)
+
+    def test_empty_divisor_rejected(self):
+        with pytest.raises(NotAFiber, match="empty divisor"):
+            fiber_multiplicities(WeightedTree((), ()))
+
+    def test_branching_minus_one_curve_rejected(self):
+        # a numerical fiber (multiplicities 3,1,1,1) whose (-1)-curve branches
+        star = WeightedTree((-1, -3, -3, -3), ((0, 1), (0, 2), (0, 3)))
+        assert fiber_multiplicities(star) == (3, 1, 1, 1)
+        with pytest.raises(NotAFiber, match=r"\(-1\)-curve 0 is branching"):
+            classify_fiber(star)
+
+    def test_fork_without_two_simple_twigs_is_other(self):
+        # one branching vertex, but only one of its twigs is a [2] of multiplicity 1
+        fiber = random_fiber(random.Random(0), 6)
+        degrees = sorted(len(nb) for nb in fiber.adjacency().values())
+        assert degrees == [1, 1, 1, 2, 2, 2, 3]
+        assert classify_fiber(fiber) == FiberReport(OTHER, (1, 1, 1, 2, 3, 1, 1), (0, 4, 5, 6))
 
     def test_nonsingular_rejected(self):
         with pytest.raises(NotAFiber, match="kernel"):

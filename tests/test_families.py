@@ -30,6 +30,10 @@ class TestFibonacci:
         assert [fibonacci(n) for n in range(11)] == \
             [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
 
+    def test_negative_index(self):
+        with pytest.raises(ValueError, match="negative Fibonacci index"):
+            fibonacci(-1)
+
     def test_large(self):
         assert fibonacci(90) == 2880067194370816120
         assert fibonacci(89) * fibonacci(91) - fibonacci(90) ** 2 == 1

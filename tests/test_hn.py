@@ -107,6 +107,22 @@ class TestValidation:
     def test_generator_produces_valid(self, s):
         assert validate(s).ok
 
+    def test_passing_summary(self):
+        assert validate(seq("6/4,2/3", STANDARD)).summary() == "pass"
+
+
+class TestSequence:
+    def test_needs_a_pair(self):
+        with pytest.raises(ValueError, match="at least one pair"):
+            HNSequence(())
+
+    def test_pairs_must_be_hn_pairs(self):
+        with pytest.raises(TypeError, match="HNPair instances"):
+            HNSequence((HNPair(3, 2), (2, 1)))
+
+    def test_to_text(self):
+        assert seq("6/4, 2/3").to_text() == "6/4,2/3"
+
 
 class TestStandardize:
     @pytest.mark.parametrize("raw,std", [

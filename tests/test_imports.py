@@ -145,6 +145,13 @@ def test_star_import_binds_the_public_names():
     assert json.loads(fresh(script)) == NAMES
 
 
+def test_dir_lists_every_public_name():
+    names = dir(cuspforge)
+    assert names == sorted(names)
+    assert set(cuspforge.__all__) <= set(names)
+    assert "__getattr__" in names
+
+
 def test_unknown_attribute_is_a_plain_attribute_error():
     script = (
         "import cuspforge\n"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from cuspforge import invariants
-from cuspforge.errors import Inconsistent, NotRealizable
+from cuspforge.errors import NotRealizable
 from cuspforge.hn import (
     RAW,
     STANDARD,
@@ -131,6 +131,26 @@ class TestMultiplicity:
         with pytest.raises(ValueError, match="'two'"):
             parse_multiplicity("4,two")
 
+    @pytest.mark.parametrize("runs,form,msg", [
+        (((2, 1),), "half", "unknown multiplicity form 'half'"),
+        (((2, 0),), REDUCED, r"bad multiplicity run \(2,0\)"),
+        (((0, 1),), REDUCED, r"bad multiplicity run \(0,1\)"),
+        (((2, 1), (3, 1)), REDUCED, "strictly decreasing"),
+        (((2, 1), (2, 1)), REDUCED, "strictly decreasing"),
+    ])
+    def test_constructor_refuses(self, runs, form, msg):
+        with pytest.raises(ValueError, match=msg):
+            MultiplicitySequence(runs, form)
+
+    def test_smooth_point_full_sequence_not_realizable(self):
+        with pytest.raises(NotRealizable, match="smooth point"):
+            multiplicity_to_standard_hn(MultiplicitySequence(((1, 3),), FULL))
+
+    def test_gcd_chain_without_interior_run(self):
+        # 6,4,1,1,1,1: the head pair 10/6 has gcd 2, which no run holds
+        with pytest.raises(NotRealizable, match="gcd chain hits 2"):
+            multiplicity_to_standard_hn(parse_multiplicity("6,4"))
+
     def test_runs_merge(self):
         m = MultiplicitySequence.from_runs(((4, 1), (2, 2), (2, 1)))
         assert m.runs == ((4, 1), (2, 3))
@@ -186,10 +206,20 @@ class TestPuiseuxCharacteristic:
         ("1;3", ">= 2"),
         ("4;6,9,11", "divides"),
         ("4;9,6", "increase"),
+        ("4,6,9", "missing ';' after beta0"),
+        ("4;6,x", "invalid characteristic exponent 'x'"),
+        ("4;", "invalid characteristic exponent ''"),
     ])
     def test_invalid(self, text, msg):
         with pytest.raises(ValueError, match=msg):
             parse_puiseux_char(text)
+
+    def test_needs_beta1(self):
+        with pytest.raises(ValueError, match="needs beta0 and at least beta1"):
+            PuiseuxCharacteristic((5,))
+
+    def test_str(self):
+        assert str(parse_puiseux_char("4; 6, 9")) == "4;6,9"
 
     def test_round_trip_fixture(self):
         c = parse_puiseux_char("4;6,9")
@@ -239,6 +269,36 @@ class TestPairLists:
 
     def test_pair_text(self):
         assert PairList(ZARISKI, ((2, 3), (2, 3))).to_text() == "(2,3),(2,3)"
+        assert str(PairList(ZARISKI, ((2, 3), (2, 3)))) == "(2,3),(2,3)"
+        assert str(PairList(PUISEUX, ((3, 2), (9, 2)))) == "(3,2),(9,2)"
+
+    @pytest.mark.parametrize("kind,pairs,msg", [
+        ("newton", ((3, 2),), "unknown pair-list kind 'newton'"),
+        (PUISEUX, (), "must be non-empty"),
+        (PUISEUX, ((3, 1),), r"Puiseux pair \(3,1\) needs n >= 2"),
+        # accepted once, this reached PuiseuxCharacteristic as (4, 6, -7)
+        (PUISEUX, ((3, 2), (-7, 2)), r"Puiseux pair \(-7,2\) needs m >= 1"),
+        (PUISEUX, ((3, 2), (0, 2)), r"Puiseux pair \(0,2\) needs m >= 1"),
+        (PUISEUX, ((6, 4),), r"Puiseux pair \(6,4\) must be coprime"),
+        (PUISEUX, ((2, 3),), r"first Puiseux pair \(2, 3\) needs m1 > n1"),
+        (ZARISKI, ((1, 3),), r"Zariski pair \(1,3\) needs b >= 2"),
+        # accepted once, this reached HNPair as (2/-1)
+        (ZARISKI, ((2, 3), (2, -1)), r"Zariski pair \(2,-1\) needs a >= 1"),
+        (ZARISKI, ((2, 3), (2, 0)), r"Zariski pair \(2,0\) needs a >= 1"),
+        (ZARISKI, ((2, 4),), r"Zariski pair \(2,4\) must be coprime"),
+        (ZARISKI, ((3, 2),), r"first Zariski pair \(3, 2\) needs a1 > b1"),
+    ])
+    def test_constructor_refuses(self, kind, pairs, msg):
+        with pytest.raises(ValueError, match=msg):
+            PairList(kind, pairs)
+
+    def test_zariski_from_raw_refused(self):
+        with pytest.raises(ValueError, match="read off the standard form"):
+            zariski_from_hn(parse_hn("6/4,2/3"))
+
+    def test_hn_from_puiseux_pairs_refused(self):
+        with pytest.raises(ValueError, match="expected zariski pairs, got puiseux"):
+            hn_from_zariski(PairList(PUISEUX, ((3, 2),)))
 
     @given(standard_hn_sequences())
     def test_zariski_round_trip(self, s):
