@@ -530,35 +530,35 @@ def _contract_all(t: WeightedTree):
     Returns the surviving weights keyed by ORIGINAL ids and the contraction
     order.  The greedy order is harmless: a contractible configuration stays
     contractible whichever eligible vertex goes first.  A blowdown raises
-    its neighbours' weights and raises no degree, so only its neighbours
-    can become eligible, and a vertex that stops being eligible does so for
-    good: a heap of eligible ids, skipping the entries gone stale, yields
-    the smallest one each time.
+    its neighbours' weights and raises no degree, and a vertex loses a
+    neighbour only when its weight rises too.  So a vertex can become
+    eligible only as its weight reaches -1, and one that stops being
+    eligible does so for good: a heap of the ids whose weight reached -1,
+    skipping those not eligible when popped, yields the smallest eligible
+    one each time.
     """
     weights = dict(enumerate(t.weights))
     adj: dict[int, set[int]] = {v: set() for v in weights}
     for a, b in t.edges:
         adj[a].add(b)
         adj[b].add(a)
-    eligible = lambda x: weights[x] == -1 and len(adj[x]) <= 2
-    heap = [x for x in weights if eligible(x)]
+    heap = [x for x, w in weights.items() if w == -1]
     trace: list[int] = []
     while len(weights) > 1 and heap:
         v = heappop(heap)
-        if not eligible(v):
+        if weights[v] != -1 or len(adj[v]) > 2:
             continue
         nbrs = adj.pop(v)
         del weights[v]
         for u in nbrs:
             weights[u] += 1
             adj[u].discard(v)
+            if weights[u] == -1:
+                heappush(heap, u)
         if len(nbrs) == 2:
             a, b = nbrs
             adj[a].add(b)
             adj[b].add(a)
-        for u in nbrs:
-            if eligible(u):
-                heappush(heap, u)
         trace.append(v)
     return weights, trace
 
@@ -655,7 +655,9 @@ def classify_fiber(t: Divisor) -> FiberReport:
     Shapes: a single 0-curve (nondegenerate), a chain, a special fork (one
     branching vertex, two [2]-twigs of multiplicity 1, the far tip of the
     remaining twig of multiplicity 2), or other.  Every (-1)-vertex must be
-    non-branching; a chain with a unique (-1)-vertex must read [U,1,U*].
+    non-branching.  A chain fiber with a unique (-1)-vertex reads [U,1,U*]
+    with no check here: the positive kernel vector of `_fiber_pass` forces
+    it (tests/test_proofs.py holds the proof).
     """
     tree = _as_tree(t)
     mu, adj = _fiber_pass(tree)
@@ -670,23 +672,6 @@ def classify_fiber(t: Divisor) -> FiberReport:
         return FiberReport(NONDEGENERATE, mu, minus_ones)
 
     if max(degrees) <= 2:
-        if len(minus_ones) == 1:
-            m = minus_ones[0]
-            # m is no tip: `_fiber_pass` refuses a chain whose lone (-1)-curve is one.
-            # U is read toward the (-1)-curve from the tip with the smaller id
-            first, second = sorted((_walk(adj, u, m) for u, _ in adj[m]), key=lambda w: w[-1])
-            before = tuple(-tree.weights[v] for v in reversed(first))
-            after = tuple(-tree.weights[v] for v in second)
-            try:
-                star = adjoint(Chain(before))
-            except EntryBelowTwo as exc:
-                raise NotAFiber(f"chain fiber is not [U,1,U*]: {exc}") from exc
-            # after == U*, and the adjoint preserves the discriminant, so
-            # d(U) = d(U*) holds without a separate check
-            if star.entries != after:
-                raise NotAFiber(
-                    f"chain fiber is not [U,1,U*]: adjoint of {before} is "
-                    f"{star.entries}, found {after}")
         return FiberReport(CHAIN, mu, minus_ones)
 
     if max(degrees) == 3 and degrees.count(3) == 1:

@@ -271,29 +271,25 @@ def standardize(seq: HNSequence) -> HNSequence:
 
     Rule R1 (equal-pair absorption) replaces an adjacent ``(x/x)(x/y)`` by
     ``(x/x+y)`` at interior positions; rule R2 (head merge) replaces the
-    leading ``(c1/p1)(p1/y)`` with ``p1 | c1`` by ``((c1+y)/p1)``.  R1 is
-    swept right-to-left, then R2 applied once, until fixpoint.  Every rewrite
-    shortens the list, so the loop terminates.  Idempotent on standard input:
-    a valid standard sequence, which the standard axioms already show to be
-    chain-consistent, comes back as itself.
+    leading ``(c1/p1)(p1/y)`` with ``p1 | c1`` by ``((c1+y)/p1)``.  One
+    right-to-left R1 sweep, then R2 while it applies, is the fixpoint: an R1
+    merge (x/x+y) is never (x/x), and its left neighbour is examined next;
+    R2 touches only the head, where R1 never applies (tests/test_proofs.py
+    holds the proof).  Idempotent on standard input: a valid standard
+    sequence, which the standard axioms already show to be chain-consistent,
+    comes back as itself.
     """
     if seq.flavor != STANDARD or not validate(seq).ok:
         require_valid(seq.with_flavor(RAW))
     pairs = list(seq.pairs)
-    while True:
-        changed = False
-        # Head occurrences of (x/x)(x/y) belong to R2: absorbing them with R1
-        # would leave (x/x+y) with p1-divides-c1 unrepairable.
-        for j in range(len(pairs) - 2, 0, -1):
-            left, right = pairs[j], pairs[j + 1]
-            if left.c == left.p == right.c:
-                pairs[j:j + 2] = [HNPair(left.c, left.c + right.p)]
-                changed = True
-        if len(pairs) >= 2 and pairs[0].c % pairs[0].p == 0 and pairs[1].c == pairs[0].p:
-            pairs[0:2] = [HNPair(pairs[0].c + pairs[1].p, pairs[0].p)]
-            changed = True
-        if not changed:
-            break
+    # Head occurrences of (x/x)(x/y) belong to R2: absorbing them with R1
+    # would leave (x/x+y) with p1-divides-c1 unrepairable.
+    for j in range(len(pairs) - 2, 0, -1):
+        left, right = pairs[j], pairs[j + 1]
+        if left.c == left.p == right.c:
+            pairs[j:j + 2] = [HNPair(left.c, left.c + right.p)]
+    while len(pairs) >= 2 and pairs[0].c % pairs[0].p == 0 and pairs[1].c == pairs[0].p:
+        pairs[0:2] = [HNPair(pairs[0].c + pairs[1].p, pairs[0].p)]
     if seq.flavor == STANDARD and len(pairs) == seq.h:
         out = seq   # no rewrite happened: the same pairs, and the same report
     else:

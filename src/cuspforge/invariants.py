@@ -26,7 +26,6 @@ from .hn import (
     require_valid,
     standard_form,
     standardize,
-    validate,
 )
 
 REDUCED = "reduced"
@@ -406,8 +405,10 @@ def multiplicity_to_standard_hn(mult: MultiplicitySequence) -> HNSequence:
 
     The first pair is (u1*mu1 + mu2 / mu1); each later c_j is the running
     gcd and p_j is read off the run table at the position where c_j occurs.
-    The candidate is verified by validation plus a round trip, so any
-    sequence not produced by a cusp raises NotRealizable.
+    A candidate that passes the gcd chain and p > 0 checks is standard by
+    construction (tests/test_proofs.py holds the proof), and the round trip
+    refuses one that does not reproduce the input, so any sequence not
+    produced by a cusp raises NotRealizable.
     """
     full = mult.full()
     runs = full.runs
@@ -434,12 +435,6 @@ def multiplicity_to_standard_hn(mult: MultiplicitySequence) -> HNSequence:
         prev = i
 
     seq = HNSequence._trusted(tuple(pairs), STANDARD)
-    # mult comes from outside, so the candidate is checked; the report stays
-    # on it, and hn_to_multiplicity's require_valid reads it again for free
-    report = validate(seq)
-    if not report.ok:
-        raise NotRealizable(
-            f"candidate {format_hn(seq)} is not standard: {report.summary()}")
     if hn_to_multiplicity(seq, FULL) != full:
         raise NotRealizable(
             f"candidate {format_hn(seq)} does not reproduce {full.to_text()}")

@@ -20,8 +20,16 @@ from cuspforge.divisor import (
     is_negative_definite,
     star_concat,
 )
-from cuspforge.errors import EntryBelowTwo, NotAFiber, NotContractible
-from cuspforge.hn import HNPair, HNSequence, RAW, STANDARD, format_hn
+from cuspforge.errors import EntryBelowTwo, NotAFiber, NotContractible, NotReducible
+from cuspforge.hn import (
+    HNPair,
+    HNSequence,
+    RAW,
+    STANDARD,
+    format_hn,
+    require_valid,
+    validate,
+)
 from cuspforge.invariants import (
     FULL,
     CuspRecord,
@@ -291,6 +299,74 @@ def simulate_resolution(pairs: tuple[HNPair, ...]):
     return tree, MultiplicitySequence.from_runs(runs, FULL), last
 
 
+def _series_order(s: list[Fraction]) -> int | None:
+    """Index of the first nonzero coefficient; None when s vanishes to its precision."""
+    return next((i for i, a in enumerate(s) if a), None)
+
+
+def _series_quotient(v: list[Fraction], u: list[Fraction], a: int, b: int) -> list[Fraction]:
+    """v / u for orders a = ord u <= b = ord v, known to len(v) - a terms."""
+    size = len(v) - a
+    nz = [(k, uk) for k, uk in enumerate(u[a + 1:size + a], start=1) if uk]
+    u0 = u[a]
+    q = [Fraction(0)] * size
+    for n in range(b - a, size):
+        q[n] = (v[n + a] - sum(uk * q[n - k] for k, uk in nz if k <= n)) / u0
+    return q
+
+
+def germ_resolution_oracle(char: PuiseuxCharacteristic, coeffs) -> tuple[WeightedTree, MultiplicitySequence]:
+    """Resolve the branch x = t^beta0, y = sum a_i t^beta_i by actual blowups.
+
+    The coordinates are power series with exact rational coefficients,
+    known to a common precision.  Each blowup divides the higher-order
+    coordinate by the lower-order one u, which costs ord u terms of
+    precision, and drops the constant term; the coordinates swap when their
+    orders cross.  A coordinate that vanishes to its precision is an axis
+    of the chart.  The two axes carry the labels of the exceptional curves
+    through the point: each blowup takes one from the weight of each
+    labelled curve, joins the new curve to them and cuts the edge between
+    them (the proximity calculus).  It stops when the branch is smooth and
+    meets exactly one exceptional curve, transversally: the minimal good
+    resolution, with the multiplicity of the branch at each blown-up point.
+    The blowups use beta0 + beta_g - 1 terms in all, so twice that is ample.
+    """
+    beta = char.beta
+    size = 2 * (beta[0] + beta[-1])
+    u, v = [Fraction(0)] * size, [Fraction(0)] * size
+    u[beta[0]] = Fraction(1)
+    for b, a in zip(beta[1:], coeffs, strict=True):
+        v[b] = Fraction(a)
+    lu = lv = None          # the exceptional curves {u = 0} and {v = 0}
+    weights: list[int] = []
+    edges: set[tuple[int, int]] = set()
+    mults: list[int] = []
+    while True:
+        ou, ov = _series_order(u), _series_order(v)
+        if ou is None:
+            raise RuntimeError("precision exhausted")
+        if ov is not None and ov < ou:
+            u, v, ou, ov, lu, lv = v, u, ov, ou, lv, lu
+        if ou == 1 and (lu is None) != (lv is None) and (lu is not None or ov == 1):
+            break
+        mults.append(ou)
+        new = len(weights)
+        weights.append(-1)
+        for lab in (lu, lv):
+            if lab is not None:
+                weights[lab] -= 1
+                edges.add((lab, new))
+        if lu is not None and lv is not None:
+            edges.remove((min(lu, lv), max(lu, lv)))
+        q = [Fraction(0)] * (size - ou) if ov is None else _series_quotient(v, u, ou, ov)
+        const, q[0] = q[0], Fraction(0)
+        size -= ou
+        u, v = u[:size], q
+        lu, lv = new, lv if const == 0 else None
+    tree = WeightedTree(tuple(weights), tuple(sorted(edges)))
+    return tree, MultiplicitySequence.from_entries(mults, FULL)
+
+
 def resolution_invariants_oracle(tree: WeightedTree, c_vertex: int):
     """The five audited resolution values, read off an expanded tree.
 
@@ -435,6 +511,31 @@ def chain_fiber_oracle(tree: WeightedTree) -> FiberReport:
                 f"chain fiber is not [U,1,U*]: adjoint of {before} is "
                 f"{star.entries}, found {after}")
     return FiberReport(CHAIN, mu, minus_ones)
+
+
+def standardize_fixpoint_oracle(seq: HNSequence) -> HNSequence:
+    """`standardize` as a loop of R1 sweeps and single R2 steps until nothing changes."""
+    if seq.flavor != STANDARD or not validate(seq).ok:
+        require_valid(seq.with_flavor(RAW))
+    pairs = list(seq.pairs)
+    while True:
+        changed = False
+        for j in range(len(pairs) - 2, 0, -1):
+            left, right = pairs[j], pairs[j + 1]
+            if left.c == left.p == right.c:
+                pairs[j:j + 2] = [HNPair(left.c, left.c + right.p)]
+                changed = True
+        if len(pairs) >= 2 and pairs[0].c % pairs[0].p == 0 and pairs[1].c == pairs[0].p:
+            pairs[0:2] = [HNPair(pairs[0].c + pairs[1].p, pairs[0].p)]
+            changed = True
+        if not changed:
+            break
+    out = HNSequence(tuple(pairs), STANDARD)
+    report = validate(out)
+    if not report.ok:
+        raise NotReducible(
+            f"fixpoint {format_hn(out)} is not standard: {report.summary()}")
+    return out
 
 
 def blow_down_oracle(t: WeightedTree, v: int) -> WeightedTree:

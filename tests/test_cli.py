@@ -516,6 +516,21 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert proc.stdout == "6/4,2/3\n"
 
+    @pytest.mark.parametrize("argv,code,out_md5,err_end", [
+        (("invariants", "--hn", "13/4"), 0, "0c0f2a41f56547339793b3d03b83575a", ""),
+        (("family", "gen", "A", "x"), 2, hashlib.md5(b"").hexdigest(),
+         "argument params: invalid integer 'x'\n"),
+    ])
+    def test_main_exits_with_the_run_code(self, capsys, monkeypatch, argv, code, out_md5, err_end):
+        # the console script's entry point, in process: sys.argv in, SystemExit out
+        monkeypatch.setattr(sys, "argv", ["cuspforge", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        out, err = capsys.readouterr()
+        assert exc.value.code == code
+        assert hashlib.md5(out.encode()).hexdigest() == out_md5
+        assert err.endswith(err_end) and bool(err) == bool(code)
+
     def test_parser_reuse(self, capsys):
         # one parser serves every call in a process: a usage error leaves
         # nothing behind, and help text goes to the stdout of its own call

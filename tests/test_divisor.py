@@ -48,7 +48,13 @@ from cuspforge.errors import (
     NotCoprime,
 )
 from cuspforge.hn import STANDARD, HNPair, format_hn, parse_hn, standardize
-from cuspforge.invariants import FULL, hn_to_multiplicity
+from cuspforge.invariants import (
+    FULL,
+    compute_M_I,
+    hn_to_multiplicity,
+    hn_to_puiseux_char,
+    semigroup_of,
+)
 from support import (
     adjoint_fold_oracle,
     bareiss_det,
@@ -61,6 +67,7 @@ from support import (
     contraction_order_oracle,
     expand_junctions,
     gauss_jordan_kernel,
+    germ_resolution_oracle,
     induced_discriminant,
     negated_matrix,
     random_fiber,
@@ -772,6 +779,19 @@ class TestResolution:
         assert sum(1 for nb in adj.values() if len(nb) >= 3) == s.h - 1
         assert max(len(nb) for nb in adj.values()) <= 3
         assert res.mult == hn_to_multiplicity(s, FULL)
+
+    @settings(max_examples=60)
+    @given(standard_hn_sequences(max_h=3, cap=40), st.lists(st.integers(1, 5), min_size=3, max_size=3))
+    def test_blowups_of_the_germ(self, s, coeffs):
+        # a route that shares no convention with the HN pairs: the branch
+        # x = t^beta0, y = sum a_i t^beta_i resolved by actual blowups
+        char = hn_to_puiseux_char(s)
+        tree, mult = germ_resolution_oracle(char, coeffs[:char.g])
+        assert tree == resolution_graph(s).tree
+        assert mult == hn_to_multiplicity(s, FULL)
+        ms = mult.entries()
+        assert sum(m * (m - 1) // 2 for m in ms) == semigroup_of(char).gap_count
+        assert (sum(ms), sum(m * m for m in ms)) == compute_M_I(s)
 
 
 class TestRunForm:

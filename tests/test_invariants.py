@@ -3,13 +3,10 @@ import time
 import pytest
 from hypothesis import given
 
-from cuspforge import invariants
 from cuspforge.errors import NotRealizable
 from cuspforge.hn import (
     RAW,
     STANDARD,
-    ValidationReport,
-    Violation,
     format_hn,
     parse_hn,
     standardize,
@@ -178,17 +175,6 @@ class TestMultiplicity:
     @given(standard_hn_sequences())
     def test_round_trip(self, s):
         assert multiplicity_to_standard_hn(hn_to_multiplicity(s, FULL)) == s
-
-    def test_candidate_not_standard(self, monkeypatch):
-        # No input is known whose candidate fails standard validation: every
-        # reduced sequence with values <= 13, at most 4 runs and counts <= 6
-        # stops at the gcd chain, a non-positive p or the round trip.  With
-        # a report that fails, the guard must raise NotRealizable, before
-        # the round trip's require_valid would raise a plain ValueError.
-        failing = ValidationReport(False, (Violation("head", 1, "forced failure"),))
-        monkeypatch.setattr(invariants, "validate", lambda seq: failing)
-        with pytest.raises(NotRealizable, match="is not standard: forced failure"):
-            multiplicity_to_standard_hn(hn_to_multiplicity(std("12/8,4/6,2/1"), FULL))
 
 
 class TestPuiseuxCharacteristic:

@@ -2,27 +2,36 @@
 
 Each fact is why a branch no input can reach was deleted from `src/`:
 a conversion whose result is standard by construction, a division that
-is exact, a guard that is always true, or a list that is never empty.
-The proof sits in the test's docstring; the test checks the fact on the
-existing hypothesis strategies, and fails when the code that produces
-the fact breaks.
+is exact, a guard that is always true, a list that is never empty, a
+chain fiber that reads [U,1,U*] because its kernel vector is positive,
+or a rewrite loop whose first pass is already its fixpoint.  The proof
+sits in the test's docstring; the test checks the fact on the existing
+hypothesis strategies, against the deleted route kept in
+`tests/support.py` as an oracle where there is one, and fails when the
+code that produces the fact breaks.  `tests/reachability.py` keeps such
+branches from coming back.
 """
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cuspforge import invariants
 from cuspforge.cli import _weight_runs
 from cuspforge.divisor import (
+    CHAIN,
     Chain,
+    FiberReport,
     WeightedTree,
     _edge_texts,
     classify_fiber,
     fiber_multiplicities,
     resolution_graph,
 )
-from cuspforge.errors import NotAFiber
-from cuspforge.hn import STANDARD, HNPair, HNSequence, validate
+from cuspforge.errors import DegenerateRemainder, NotAFiber, NotRealizable, NotReducible
+from cuspforge.hn import RAW, STANDARD, HNPair, HNSequence, expand_low_p, standardize, validate
 from cuspforge.invariants import (
     FULL,
     MultiplicitySequence,
@@ -31,13 +40,19 @@ from cuspforge.invariants import (
     hn_to_multiplicity,
     hn_to_puiseux_char,
     hn_from_zariski,
+    multiplicity_to_standard_hn,
     puiseux_char_to_standard_hn,
     zariski_from_hn,
 )
 from support import (
+    adjoint_fold_oracle,
+    chain_fiber_oracle,
+    continuant_oracle,
     puiseux_characteristics,
+    raw_hn_sequences,
     resolution_corpus_hn,
     standard_hn_sequences,
+    standardize_fixpoint_oracle,
     zariski_pair_lists,
 )
 
@@ -99,6 +114,38 @@ def test_zariski_divisions_are_exact(seq):
         assert b % d == 0 and a % d == 0
     got = zariski_from_hn(seq)
     assert tuple((b * d, a * d) for (b, a), d in zip(got.pairs, cuts)) == tuple(stages)
+
+
+@st.composite
+def full_multiplicities(draw) -> MultiplicitySequence:
+    """Full sequences with values in 2..13 and counts in 1..6; most come from no cusp."""
+    values = sorted(draw(st.sets(st.integers(2, 13), min_size=1, max_size=4)), reverse=True)
+    runs = [(v, draw(st.integers(1, 6))) for v in values]
+    return MultiplicitySequence(runs + [(1, draw(st.integers(1, 13)))], FULL)
+
+
+@given(standard_hn_sequences(), full_multiplicities())
+def test_a_candidate_that_passes_the_gcd_chain_is_standard(seq, mult):
+    """`multiplicity_to_standard_hn` need not validate its candidate.
+
+    The runs have values mu_1 > mu_2 > ... >= 1.  The first pair is
+    c1 = u1 mu1 + mu2 over p1 = mu1 with 0 < mu2 < mu1, so p1 < c1 and p1
+    does not divide c1.  Each later c is the running gcd, so the gcd chain
+    holds, and the loop ends only at gcd 1, so the last pair is coprime.
+    The loop refuses a gcd whose run index does not grow, so each
+    c_{j+1} = gcd(c_j, p_j) is smaller than c_j: that is strict decrease,
+    and it rules out c_j = p_j, whose gcd is c_j again.  The p > 0 check
+    keeps every pair positive.  The round trip is left to refuse a
+    standard candidate that does not reproduce the input.
+    """
+    assert multiplicity_to_standard_hn(hn_to_multiplicity(seq, FULL)) == seq
+    with mock.patch.object(invariants, "hn_to_multiplicity", wraps=hn_to_multiplicity) as spy:
+        try:
+            multiplicity_to_standard_hn(mult)
+        except NotRealizable:
+            pass
+    for call in spy.call_args_list:
+        assert validate(HNSequence(call.args[0].pairs, STANDARD)).ok
 
 
 runs_lists = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), max_size=4)
@@ -163,6 +210,57 @@ def test_no_fiber_chain_has_its_lone_minus_one_curve_at_a_tip(rest, flip):
         classify_fiber(tree)
 
 
+@st.composite
+def zero_discriminant_chains(draw) -> tuple[int, ...]:
+    """Chains of entries in -1..5 whose last entry is solved for d = 0; most are no fiber."""
+    head = tuple(draw(st.lists(st.integers(-1, 5), min_size=1, max_size=6)))
+    d_prev, d_head = continuant_oracle(head[:-1]), continuant_oracle(head)
+    assume(d_head != 0 and d_prev % d_head == 0)
+    return (*head, d_prev // d_head)
+
+
+@st.composite
+def near_fiber_chains(draw) -> tuple[int, ...]:
+    """[U,1,U*] with one entry moved by -2..2."""
+    u = draw(st.lists(st.integers(2, 6), min_size=1, max_size=5))
+    entries = [*u, 1, *adjoint_fold_oracle(Chain(tuple(u))).entries]
+    entries[draw(st.integers(0, len(entries) - 1))] += draw(st.integers(-2, 2))
+    return tuple(entries)
+
+
+@given(zero_discriminant_chains() | near_fiber_chains())
+def test_a_chain_fiber_with_one_minus_one_curve_reads_u_1_u_star(entries):
+    """`classify_fiber` need not re-read a chain fiber with one (-1)-curve.
+
+    `_fiber_pass` accepts only a positive kernel vector m.  On the chain
+    [a_1, ..., a_r], r >= 2, that gives a_i m_i = m_{i-1} + m_{i+1} > 0
+    (with m_0 = m_{r+1} = 0), so every entry is at least 1 and every entry
+    but the lone 1 is at least 2.  The 1 is no tip (the test above), so the
+    chain is [U,1,V] with U and V non-empty.  Let U' be U without its entry
+    next to the 1, and V' likewise.  Expanding d along the 1 gives
+    0 = d(U)d(V) - d(U')d(V) - d(U)d(V'), so d(V')/d(V) = 1 - d(U')/d(U).
+    With entries >= 2 both fractions lie strictly between 0 and 1 in lowest
+    terms, so d(V) = d(U) and d(V') = d(U) - d(U').  A Hirzebruch-Jung
+    expansion with entries >= 2 is unique, so V is U*: the whole-path
+    reading of `chain_fiber_oracle` always agrees.
+    """
+    tree = Chain(entries).to_tree()
+    try:
+        mu = fiber_multiplicities(tree)
+    except NotAFiber:
+        with pytest.raises(NotAFiber):
+            classify_fiber(tree)
+        return
+    minus_ones = tuple(v for v, a in enumerate(entries) if a == 1)
+    report = classify_fiber(tree)
+    assert report == FiberReport(CHAIN, mu, minus_ones)
+    if len(minus_ones) == 1:
+        before, after = entries[:minus_ones[0]], entries[minus_ones[0] + 1:]
+        assert before and after and min(before + after) >= 2
+        assert adjoint_fold_oracle(Chain(before)).entries == after
+        assert chain_fiber_oracle(tree) == report
+
+
 def _pieces_and_items(pieces, sep):
     pieces = list(pieces)
     assert pieces and all(pieces)
@@ -200,3 +298,59 @@ def test_every_listed_field_of_a_resolution_is_non_empty(seq):
     edges = _pieces_and_items(_edge_texts(res._edge_walk(), "-", ","), ",")
     assert len(weights) == len(res) and len(edges) == len(res) - 1 >= 2
     assert _pieces_and_items(_run_texts(res.mult.runs, "{}", ","), ",")
+
+
+def _outcome(f, seq):
+    try:
+        return f(seq)
+    except (ValueError, NotReducible) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def unstandardized_sequences(draw) -> HNSequence:
+    """A standard sequence with R2 and then R1 undone at random, so both rules redo it.
+
+    Undoing R2 splits the head (c/p) into (c-y/p)(p/y), with y = c mod p
+    plus some multiples of p and c - y >= p; undoing it twice needs R2 twice
+    unless R1 absorbs the second split.  Undoing R1 splits an interior (x/z)
+    with z > x into (x/x)(x/z-x).  Both keep the gcd chain.
+    """
+    pairs = list(draw(standard_hn_sequences()).pairs)
+    for _ in range(draw(st.integers(0, 3))):
+        c, p = pairs[0].c, pairs[0].p
+        low, high = (0 if c % p else 1), (c - p) // p
+        if low <= high:
+            y = c % p + p * draw(st.integers(low, high))
+            pairs[0:1] = [HNPair(c - y, p), HNPair(p, y)]
+    for _ in range(draw(st.integers(0, 3))):
+        interior = [j for j in range(1, len(pairs)) if pairs[j].p > pairs[j].c]
+        if interior:
+            j = draw(st.sampled_from(interior))
+            x, z = pairs[j].c, pairs[j].p
+            pairs[j:j + 1] = [HNPair(x, x), HNPair(x, z - x)]
+    return HNSequence(tuple(pairs), RAW)
+
+
+@given(raw_hn_sequences() | unstandardized_sequences(), st.booleans())
+@example(HNSequence((HNPair(2, 2), HNPair(2, 4), HNPair(2, 1)), RAW), False)  # 7/2, R2 undone twice
+def test_one_r1_sweep_then_r2_is_the_fixpoint(seq, expand):
+    """`standardize` needs no outer loop.
+
+    A right-to-left R1 sweep leaves no (x/x)(x/y) at positions j >= 1: a
+    merge at j gives (x/x+y), which is never (x/x) since y > 0, so it
+    starts no new match, and its left neighbour is examined next.  R2
+    rewrites only the head pair and its neighbour, and R1 never applies at
+    j = 0, so R2 makes no R1 match: the pairs after the head stay a tail of
+    the swept list.  So R2 applied while it matches reaches the fixpoint of
+    the old loop, which alternated whole sweeps with single R2 steps
+    (`standardize_fixpoint_oracle`).  The draws include `expand_low_p`
+    outputs, whose (c/c) blocks feed R1, and standard sequences with the
+    rules undone, which need R2 more than once.
+    """
+    if expand:
+        try:
+            seq = expand_low_p(seq)
+        except DegenerateRemainder:
+            return
+    assert _outcome(standardize, seq) == _outcome(standardize_fixpoint_oracle, seq)
