@@ -98,17 +98,7 @@ class WeightedTree(_Frozen):
             if ra == rb:
                 raise ValueError("edges form a cycle")
             parent[ra] = rb
-        _set(self, "weights", weights)
-        _set(self, "edges", tuple(sorted(norm)))
-
-    @classmethod
-    def _trusted(cls, weights: tuple[int, ...],
-                 edges: tuple[tuple[int, int], ...]) -> "WeightedTree":
-        """A tree known to be valid: int weights, sorted (a, b) edges with a < b."""
-        tree = object.__new__(cls)
-        _set(tree, "weights", weights)
-        _set(tree, "edges", edges)
-        return tree
+        self._fill(weights, tuple(sorted(norm)))
 
     @classmethod
     def _from_runs(cls, runs: tuple[Run, ...], links: tuple[tuple[int, int], ...],
@@ -149,37 +139,33 @@ class WeightedTree(_Frozen):
             out[b].append(a)
         return {v: tuple(sorted(nb)) for v, nb in out.items()}
 
-    def _key(self) -> tuple:
-        cached = self.__dict__.get("_canon")
-        if cached is None:
-            cached = _canonical_code(self.weights, self.adjacency())
-            _set(self, "_canon", cached)
-        return cached
+    @cached_property
+    def _canon(self) -> tuple:
+        """The canonical code that equality and the hash compare."""
+        return _canonical_code(self.weights, self.adjacency())
 
     def _junction_form(self) -> tuple[tuple[int, ...], Iterable[tuple[int, int, int]]]:
         """The tree in junction form: its own vertices and edges, k = 0."""
         return self.weights, ((a, b, 0) for a, b in self.edges)
 
-    def _determinants(self) -> tuple[int, bool]:
+    @cached_property
+    def _dets(self) -> tuple[int, bool]:
         """(discriminant, negative definite), from one pass kept on the tree.
 
         Neither value depends on the root, so the one `_subtree_determinants`
-        pass serves `discriminant` and `is_negative_definite` alike.  A tree
-        expanded from a resolution has the pair already, from its run form.
+        pass serves `discriminant` and `is_negative_definite` alike.  A
+        resolution's tree has the pair in its instance dict already, from
+        its run form, and the dict wins over this property.
         """
-        cached = self.__dict__.get("_dets")
-        if cached is None:
-            cached = _verdict(_subtree_determinants(*self._junction_form(), 0)[2])
-            _set(self, "_dets", cached)
-        return cached
+        return _verdict(_subtree_determinants(*self._junction_form(), 0)[2])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedTree):
             return NotImplemented
-        return self._key() == other._key()
+        return self._canon == other._canon
 
     def __hash__(self) -> int:
-        return hash(("WeightedTree", self._key()))
+        return hash(("WeightedTree", self._canon))
 
 
 def _centers(n: int, adj: dict[int, tuple[int, ...]]) -> list[int]:
@@ -260,14 +246,7 @@ class Chain(_Frozen):
     entries: tuple[int, ...]
 
     def __init__(self, entries: Iterable[int] = ()) -> None:
-        _set(self, "entries", tuple(map(index, entries)))
-
-    @classmethod
-    def _trusted(cls, entries: tuple[int, ...]) -> "Chain":
-        """A chain whose entries are known to be a tuple of ints."""
-        chain = object.__new__(cls)
-        _set(chain, "entries", entries)
-        return chain
+        self._fill(tuple(map(index, entries)))
 
     @classmethod
     def from_runs(cls, items) -> "Chain":
@@ -334,7 +313,8 @@ class Chain(_Frozen):
         return ([-entries[p] for p in at],
                 [(v, v + 1, q - p - 1) for v, (p, q) in enumerate(zip(at, at[1:]))])
 
-    def _determinants(self) -> tuple[int, bool]:
+    @cached_property
+    def _dets(self) -> tuple[int, bool]:
         """(discriminant, negative definite), from one pass over the junction form."""
         return _verdict(_subtree_determinants(*self._junction_form(), 0)[2])
 
@@ -424,15 +404,15 @@ def discriminant(t: Divisor) -> int:
 
     Chains and trees alike take the linear-time leaf-to-root expansion of
     `_subtree_determinants`; a chain's runs of 2s are read as single edges,
-    so it costs O(#entries other than 2) integer steps.  A tree keeps the
-    result, and `is_negative_definite` reads the same pass.
+    so it costs O(#entries other than 2) integer steps.  The divisor keeps
+    the result, and `is_negative_definite` reads the same pass.
     """
-    return t._determinants()[0]
+    return t._dets[0]
 
 
 def is_negative_definite(t: Divisor) -> bool:
     """Sylvester test: every rooted subtree has positive discriminant."""
-    return t._determinants()[1]
+    return t._dets[1]
 
 
 def star_concat(a: Chain, b: Chain) -> Chain:

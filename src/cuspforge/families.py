@@ -14,7 +14,7 @@ from operator import index
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import ParamOutOfDomain
-from .hn import HNPair, HNSequence, RAW, _Frozen, _set, standardize
+from .hn import HNPair, HNSequence, RAW, _Frozen, standardize
 from .invariants import MultiplicitySequence
 
 
@@ -132,8 +132,7 @@ class FamilySpec(_Frozen):
         if len(params) != len(names):
             raise ValueError(
                 f"{id} takes parameters {names}, got {len(params)} values")
-        _set(self, "id", id)
-        _set(self, "params", params)
+        self._fill(id, params)
 
     def named(self) -> dict[str, int]:
         return dict(zip(_FAMILIES[self.id].names, self.params))
@@ -210,10 +209,7 @@ class CurveRecord(_Frozen):
                 raise ValueError(f"family curve gamma {gamma} < 1")
             if not 1 <= len(cusps) <= 3:
                 raise ValueError(f"family curve with {len(cusps)} cusps")
-        _set(self, "degree", degree)
-        _set(self, "gamma", gamma)
-        _set(self, "cusps", cusps)
-        _set(self, "family", family)
+        self._fill(degree, gamma, cusps, family)
 
     @classmethod
     def from_cusps(cls, degree, gamma, seqs, family=None) -> "CurveRecord":

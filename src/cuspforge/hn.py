@@ -28,48 +28,58 @@ RAW = "raw"
 
 _PAIR_RE = re.compile(r"(\d+)/(\d+)\Z")
 
-# writes an attribute past `_Frozen.__setattr__`; only constructors and caches use it
+# writes past `_Frozen.__setattr__`: the compiled setters, derived values, seeded caches
 _set = object.__setattr__
 
 
 class _Frozen:
     """Base of the package's value classes: immutable, equal and hashed by fields.
 
-    A subclass names its fields in order in `_fields`, and is built from
-    them, positionally or by keyword and with no defaults, unless an
-    `__init__` written by hand in it or a base validates them and sets each
-    one with `_set`.  Two instances are equal when they are of the same
-    class and their field tuples are equal, and the hash is the hash of
-    that tuple.  Attributes outside `_fields` (derived values and caches)
-    take no part in equality, hashing or repr.  Assigning or deleting an
-    attribute raises AttributeError.  The state is the instance `__dict__`,
-    which pickle writes and restores without calling `__init__`.
+    A subclass names its fields in order in `_fields`, and only `_Frozen`
+    writes them, through the setter `_fill(self, <fields>)` it compiles for
+    each class.  A class with a hand-written `__init__` (its own or a
+    base's) validates and then calls `self._fill(...)` once; it also gets
+    the classmethod `_trusted(cls, <fields>)`, which builds an instance
+    from fields known to be valid and checks nothing.  A plain record's
+    `__init__` is its `_fill`: positional or keyword, no defaults.  Two
+    instances are equal when they are of the same class and their field
+    tuples are equal, and the hash is the hash of that tuple.  Attributes
+    outside `_fields` (derived values and caches) take no part in equality,
+    hashing or repr.  Assigning or deleting an attribute raises
+    AttributeError.  The state is the instance `__dict__`, which pickle
+    writes and restores without calling `__init__`.
 
-    `__init__`, `__eq__` and `__hash__` are compiled once per class from
-    the field names, so each field is a plain `_set` call or attribute
-    load: `operator.attrgetter` costs more per call, and a cusp's pairs are
-    hashed on every audit cache lookup.  A class that defines its own
-    `__eq__` keeps both of its own.
+    `_fill`, `_trusted`, `__eq__` and `__hash__` come from one `exec` per
+    class, so each field is a plain `_set` call or attribute load: a
+    generic `_trusted(cls, *values)` or `operator.attrgetter` costs more per
+    call, and a cusp's pairs are hashed on every audit cache lookup.  A
+    class that defines its own `__eq__` keeps both of its own.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = names = cls._fields
+        params = "".join(f", {name}" for name in names)
+        sets = "".join(f"\n _set(self, {name!r}, {name})" for name in names)
+        source = f"def _fill(self{params}):{sets}\n"
         # an inherited compiled `__init__` (from "<string>") may name other fields
-        if cls.__init__ is object.__init__ or cls.__init__.__code__.co_filename == "<string>":
-            scope = {}
-            exec(f"def __init__(self, {', '.join(names)}): "
-                 + "; ".join(f"_set(self, {name!r}, {name})" for name in names), globals(), scope)
-            cls.__init__ = scope["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        plain = cls.__init__ is object.__init__ or cls.__init__.__code__.co_filename == "<string>"
+        if not plain:
+            source += f"def _trusted(cls{params}):\n self = object.__new__(cls){sets}\n return self\n"
         if "__eq__" not in vars(cls):
             mine = "".join(f"self.{name}," for name in names)
             theirs = mine.replace("self.", "other.")
-            cls.__eq__, cls.__hash__ = eval(
-                f"(lambda self, other: ({mine}) == ({theirs})"
-                f" if other.__class__ is self.__class__ else NotImplemented,"
-                f" lambda self: hash(({mine})))")
+            source += (f"def __eq__(self, other): return ({mine}) == ({theirs})"
+                       f" if other.__class__ is self.__class__ else NotImplemented\n"
+                       f"def __hash__(self): return hash(({mine}))\n")
+        scope = {}
+        exec(source, globals(), scope)
+        if plain:
+            scope["__init__"] = scope["_fill"]   # named last, so its qualname is `Cls.__init__`
+        for name, function in scope.items():
+            function.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, classmethod(function) if name == "_trusted" else function)
 
     def __repr__(self) -> str:
         values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -96,8 +106,7 @@ class HNPair(_Frozen):
                 raise TypeError(f"HN pair entries must be integers, got {type(v).__name__}")
         if c < 1 or p < 1:
             raise ValueError(f"HN pair entries must be >= 1, got ({c}/{p})")
-        _set(self, "c", c)
-        _set(self, "p", p)
+        self._fill(c, p)
 
     def __str__(self) -> str:
         return f"{self.c}/{self.p}"
@@ -123,16 +132,7 @@ class HNSequence(_Frozen):
             raise TypeError("pairs must be HNPair instances")
         if flavor not in (STANDARD, RAW):
             raise ValueError(f"unknown flavor {flavor!r}")
-        _set(self, "pairs", pairs)
-        _set(self, "flavor", flavor)
-
-    @classmethod
-    def _trusted(cls, pairs: tuple[HNPair, ...], flavor: str) -> "HNSequence":
-        """A sequence known to be well formed: a non-empty tuple of HNPair, a known flavor."""
-        seq = object.__new__(cls)
-        _set(seq, "pairs", pairs)
-        _set(seq, "flavor", flavor)
-        return seq
+        self._fill(pairs, flavor)
 
     @property
     def h(self) -> int:
@@ -162,9 +162,14 @@ class HNSequence(_Frozen):
 
     @classmethod
     def from_json_obj(cls, obj: Iterable, flavor: str = RAW) -> "HNSequence":
-        """Pairs of decimal strings or ints; other entries reach `HNPair`, which refuses them."""
+        """Two-entry lists or tuples of ints or ASCII decimal strings, as `to_json_obj` writes."""
         pairs = []
         for item in obj:
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
+                raise TypeError(f"an HN pair must be a two-entry array, got {item!r}")
+            if any(isinstance(v, str) and not (v.isascii() and v.isdigit()) for v in item):
+                raise ValueError(f"HN pair entries must be decimal digits, got {item!r}")
+            # other entries reach HNPair, which refuses them
             c, p = (int(v) if isinstance(v, str) else v for v in item)
             pairs.append(HNPair(c, p))
         return cls(tuple(pairs), flavor)

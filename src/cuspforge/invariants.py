@@ -76,16 +76,7 @@ class MultiplicitySequence(_Frozen):
             raise ValueError("reduced multiplicity sequence must not end in 1")
         if form == FULL and (not runs or values[-1] != 1):
             raise ValueError("full multiplicity sequence must end in 1")
-        _set(self, "runs", runs)
-        _set(self, "form", form)
-
-    @classmethod
-    def _trusted(cls, runs: tuple[tuple[int, int], ...], form: str) -> "MultiplicitySequence":
-        """A sequence known to be valid: merged (int, int) runs that suit `form`."""
-        seq = object.__new__(cls)
-        _set(seq, "runs", runs)
-        _set(seq, "form", form)
-        return seq
+        self._fill(runs, form)
 
     @classmethod
     def from_entries(cls, entries: Iterable[int], form: str = REDUCED) -> "MultiplicitySequence":
@@ -179,7 +170,7 @@ class PuiseuxCharacteristic(_Frozen):
             e.append(gcd(e[-1], beta[i]))
         if e[-1] != 1:
             raise ValueError(f"gcd chain ends at e_g = {e[-1]} != 1")
-        _set(self, "beta", beta)
+        self._fill(beta)
         _set(self, "e", tuple(e))
 
     @property
@@ -239,8 +230,7 @@ class PairList(_Frozen):
                     raise ValueError(f"Zariski pair ({b},{a}) must be coprime")
             if pairs[0][1] <= pairs[0][0]:
                 raise ValueError(f"first Zariski pair {pairs[0]} needs a1 > b1")
-        _set(self, "kind", kind)
-        _set(self, "pairs", pairs)
+        self._fill(kind, pairs)
 
     def to_text(self) -> str:
         return ",".join(f"({x},{y})" for x, y in self.pairs)
@@ -297,7 +287,7 @@ class Semigroup(_Frozen):
             e = e_next
         if e != 1:
             raise ValueError(f"generators {gens} have gcd {e} != 1")
-        _set(self, "generators", gens)
+        self._fill(gens)
         _set(self, "_levels", tuple(levels))
         _set(self, "conductor", sum((n - 1) * b for b, _, n, _ in levels) - gens[0] + 1)
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Union
 from .divisor import resolution_graph
 from .errors import NotStandard
 from .families import CurveRecord, FamilySpec, expected_reduced_multiplicities, generate
-from .hn import HNSequence, _Frozen, _set, format_hn, standardize, validate
+from .hn import HNSequence, _Frozen, format_hn, standardize, validate
 from .invariants import (
     FULL,
     MultiplicitySequence,
@@ -148,10 +148,7 @@ class FibrationLedger(_Frozen):
             raise ValueError(f"every sigma must be >= 1, got {sigmas}")
         if chis is not None and len(chis) != len(sigmas):
             raise ValueError("chis must pair up with sigmas")
-        _set(self, "h", h)
-        _set(self, "nu", nu)
-        _set(self, "sigmas", sigmas)
-        _set(self, "chis", chis)
+        self._fill(h, nu, sigmas, chis)
 
 
 def fibration_ledger(ledger: FibrationLedger, mode: str = GENERIC) -> AuditReport:

@@ -53,6 +53,11 @@ class TestParsing:
         back = HNSequence.from_json_obj(obj, STANDARD)
         assert back == s
 
+    @given(standard_hn_sequences())
+    def test_json_round_trip_of_every_standard_sequence(self, s):
+        # `from_json_obj` reads back exactly what `to_json_obj` writes
+        assert HNSequence.from_json_obj(s.to_json_obj(), STANDARD) == s
+
     def test_unknown_flavor_rejected(self):
         with pytest.raises(ValueError):
             HNSequence((HNPair(3, 2),), "fancy")

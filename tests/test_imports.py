@@ -111,6 +111,30 @@ def test_cli_loads_no_code_generation_machinery():
     assert json.loads(fresh(script)) == []
 
 
+def test_cli_compiles_once_per_value_class():
+    # `_Frozen` compiles each class's `_fill`, `_trusted`, `__eq__` and
+    # `__hash__` in one `exec`; a second one per class would cost every CLI
+    # process its compile.  `NamedTuple` runs `eval` too, so the template's
+    # runs are told apart by the `_fill` they define.
+    script = (
+        "import types\n"
+        "runs = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'exec':\n"
+        "        runs.append([c.co_name for c in args[0].co_consts\n"
+        "                     if isinstance(c, types.CodeType)])\n"
+        "sys.addaudithook(hook)\n"
+        "import cuspforge.cli\n"
+        "from cuspforge.hn import _Frozen\n"
+        "print(json.dumps([runs, len(_Frozen.__subclasses__())]))\n"
+    )
+    runs, classes = json.loads(fresh(script))
+    template = {"_fill", "_trusted", "__init__", "__eq__", "__hash__"}
+    assert classes == 21
+    assert len([names for names in runs if "_fill" in names]) == classes
+    assert [names for names in runs if template & set(names) and "_fill" not in names] == []
+
+
 def test_cli_loads_its_layers_before_argparse():
     # a layer compiled with argparse already resident raises the peak RSS
     # (sys.modules lists a module once it has finished loading)

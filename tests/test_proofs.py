@@ -184,7 +184,7 @@ def test_only_a_resolution_tree_arrives_with_its_determinants(seq):
     """
     tree = resolution_graph(seq).tree
     eager = WeightedTree(tree.weights, tree.edges)
-    assert vars(tree)["_dets"] == eager._determinants()
+    assert vars(tree)["_dets"] == eager._dets
 
 
 # chains whose vertex 0 is the only (-1)-curve: entries other than 1, any sign

@@ -1,12 +1,14 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 import inspect
 import pathlib
 import sys
 
 import cuspforge
 from cuspforge.families import _FAMILIES, FAMILY_IDS
+from cuspforge.hn import _Frozen
 
 PACKAGE = pathlib.Path(cuspforge.__file__).parent
 
@@ -219,31 +221,84 @@ def test_boundaries_never_trust():
     assert seen == {(file, name) for file, names in _VALIDATING.items() for name in names}
 
 
-def _copied_field(stmt: ast.stmt):
-    """(field, value name) of a statement `_set(self, "f", v)`, else None."""
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        args = stmt.value.args
-        if (getattr(stmt.value.func, "id", None) == "_set" and len(args) == 3
-                and isinstance(args[1], ast.Constant) and isinstance(args[2], ast.Name)):
-            return args[1].value, args[2].id
-    return None
+def _value_classes():
+    """(file name, class node, class) of every value class defined in the package."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = importlib.import_module(
+            "cuspforge" if path.stem == "__init__" else f"cuspforge.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if isinstance(cls, type) and issubclass(cls, _Frozen) and cls is not _Frozen:
+                yield path.name, node, cls
+
+
+def test_no_hand_written_trusted_constructor():
+    # `_Frozen` compiles `_trusted` from `_fields` for each validating class
+    found = [f"{file}:{f.lineno} {node.name}._trusted" for file, node, _ in _value_classes()
+             for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "_trusted"]
+    assert found == []
+
+
+def test_only_frozen_writes_fields():
+    # a field is written by the setter `_Frozen` compiles, `_fill`, and by
+    # nothing else; `_set` stays for derived values and seeded caches
+    found = []
+    for file, node, cls in _value_classes():
+        for n in ast.walk(node):
+            if (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_set"
+                    and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)
+                    and n.args[1].value in cls._fields):
+                found.append(f"{file}:{n.lineno} {node.name}.{n.args[1].value}")
+    assert found == []
+
+
+def _fills_own_parameters(node: ast.FunctionDef) -> bool:
+    """Whether the body, past a docstring, is one `self._fill` of the parameters in order."""
+    body = [s for s in node.body
+            if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+    call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Expr) else None
+    return (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "_fill"
+            and [getattr(a, "id", None) for a in call.args]
+            == [a.arg for a in node.args.args[1:]] and not call.keywords)
 
 
 def test_no_hand_written_field_copying_constructor():
-    # `_Frozen` compiles an `__init__` from `_fields`; a hand-written one that
-    # only copies its parameters repeats that list
-    found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for name, node in _function_nodes(path):
-            if not name.endswith(".__init__"):
-                continue
-            params = {a.arg for a in node.args.args + node.args.kwonlyargs}
-            body = [s for s in node.body if not (
-                isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
-            copies = [_copied_field(s) for s in body]
-            if all(c is not None and c[0] == c[1] and c[1] in params for c in copies):
-                found.append(f"{path.name}:{node.lineno} {name}")
+    # a plain record's `__init__` is its compiled `_fill`; a hand-written one
+    # that only passes its parameters on repeats the field list
+    found = [f"{path.name}:{node.lineno} {name}" for path in sorted(PACKAGE.rglob("*.py"))
+             for name, node in _function_nodes(path)
+             if name.endswith(".__init__") and _fills_own_parameters(node)]
     assert found == []
+
+
+def _trusted_classes() -> set:
+    """The class each `X._trusted(...)` call names; `cls` names its enclosing class."""
+    named = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.Attribute) and n.attr == "_trusted":
+                    name = getattr(n.value, "id", None)
+                    named.add(top.name if name == "cls" else name)
+    return named
+
+
+def test_trusted_builds_only_classes_of_bare_fields():
+    # `_trusted` writes the fields alone, so a class whose constructor also
+    # stores a derived value (`PuiseuxCharacteristic.e`, `Semigroup.conductor`)
+    # would come out without it
+    from test_values import INSTANCES
+
+    def bare(name):
+        obj = INSTANCES[name]
+        built = type(obj)(*(getattr(obj, f) for f in obj._fields))
+        return list(vars(built)) == list(obj._fields)
+
+    named = _trusted_classes()
+    assert {"HNSequence", "MultiplicitySequence", "Chain", "WeightedTree"} <= named
+    assert [name for name in sorted(named) if not bare(name)] == []
+    assert not bare("PuiseuxCharacteristic") and not bare("Semigroup")
 
 
 def test_package_init_imports_no_submodule():

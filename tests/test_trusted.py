@@ -186,9 +186,16 @@ def test_constructors_refuse_non_integers(site, x):
         INTEGER_SITES[site](x)
 
 
-@pytest.mark.parametrize("obj", [[[6.9, 4.2], [2, 3]], [[True, 1]]])
+# entries that are no integer, and items that are no two-entry list or tuple
+JSON_WRONG_TYPE = [[[6.9, 4.2], [2, 3]], [[True, 1]], ["32"], [b"32"], [{"3": 0, "2": 1}],
+                   [[3, 2, 1]], [(3,)]]
+# strings other than ASCII decimal digits, most of which `int` would read
+JSON_NOT_DIGITS = [[["1_0", "3"]], [[" 7", "2"]], [["+7", "2"]], [["7", "\u0663"]], [["", "2"]]]
+
+
+@pytest.mark.parametrize("obj", JSON_WRONG_TYPE + JSON_NOT_DIGITS)
 def test_hn_from_json_obj_refuses_non_integers(obj):
-    # decimal strings are parsed; any other entry reaches HNPair as it is
-    assert HNSequence.from_json_obj([["6", "4"], [2, 3]]) == parse_hn("6/4,2/3")
-    with pytest.raises(TypeError):
+    # ASCII decimal strings are parsed; any other entry reaches HNPair as it is
+    assert HNSequence.from_json_obj([["6", "4"], (2, 3)]) == parse_hn("6/4,2/3")
+    with pytest.raises(ValueError if obj in JSON_NOT_DIGITS else TypeError):
         HNSequence.from_json_obj(obj)

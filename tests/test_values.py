@@ -136,6 +136,21 @@ def test_construction_by_fields(name):
         cls(**by_name, extra=None)
 
 
+@pytest.mark.parametrize("name", ["HNSequence", "MultiplicitySequence", "Chain", "WeightedTree"])
+def test_trusted_construction_by_fields(name):
+    # the compiled `_trusted` skips the checks and builds what the validating
+    # constructor builds; both are compared before a hash fills a cache
+    obj = INSTANCES[name]
+    cls = type(obj)
+    values = [getattr(obj, field) for field in obj._fields]
+    validated, trusted = cls(*values), cls._trusted(*values)
+    assert type(trusted) is cls
+    fields = list(zip(obj._fields, values))
+    assert list(vars(trusted).items()) == list(vars(validated).items()) == fields
+    assert pickle.dumps(trusted) == pickle.dumps(validated)
+    assert trusted == validated and hash(trusted) == hash(validated)
+
+
 def test_a_subclass_keeps_a_hand_written_constructor():
     class Pair(HNPair):
         pass
