@@ -10,7 +10,7 @@ from __future__ import annotations
 
 # The layers load before argparse and json: compiled with those already
 # resident, they raise a CLI process's peak RSS by about 0.4 MB.
-from .divisor import _dot_pieces, _edge_texts, resolution_graph
+from .divisor import _dot_pieces, _edge_texts, _edge_walk, _vertex_walk, resolution_graph
 from .errors import CuspforgeError
 from .families import (
     FAMILY_IDS,
@@ -19,7 +19,7 @@ from .families import (
     enumerate_curves,
     generate,
 )
-from .hn import format_hn, parse_hn, standardize
+from .hn import _is_digits, format_hn, parse_hn, standardize
 from .invariants import (
     ZARISKI,
     PairList,
@@ -47,7 +47,6 @@ from .verify import (
 
 import argparse
 import json
-import re
 import sys
 from collections.abc import Iterator
 from functools import lru_cache
@@ -55,11 +54,12 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-REPRESENTATIONS = ("hn", "mult", "char", "zariski")
-
 
 def _int(token: str) -> int:
+    """ASCII decimal digits after an optional `-`; whitespace around them is ignored."""
     try:
+        if not _is_digits(token.strip().removeprefix("-")):
+            raise ValueError
         return int(token, 10)
     except ValueError:
         raise ValueError(f"invalid integer {token!r}") from None
@@ -77,14 +77,28 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(_int_arg(tok.strip()) for tok in text.split(","))
 
 
-def _parse_pair_list(text: str, kind: str) -> PairList:
+def _parse_pair_list(text: str) -> PairList:
     s = "".join(text.split())
     if not s:
         raise ValueError("empty pair list text")
-    toks = re.findall(r"\((\d+),(\d+)\)", s)
-    if ",".join(f"({a},{b})" for a, b in toks) != s:
+    pairs = [item.split(",") for item in s[1:-1].split("),(")]
+    if s[:1] + s[-1:] != "()" or not all(
+            len(pair) == 2 and all(map(_is_digits, pair)) for pair in pairs):
         raise ValueError(f"invalid pair list text {text!r}")
-    return PairList(kind, tuple((int(a), int(b)) for a, b in toks))
+    return PairList(ZARISKI, tuple((int(b), int(a)) for b, a in pairs))
+
+
+# name -> (reader: text -> standard HN, writer: standard HN -> text)
+_REPRESENTATIONS = {
+    "hn": (lambda text: standardize(parse_hn(text)), format_hn),
+    "mult": (lambda text: multiplicity_to_standard_hn(parse_multiplicity(text)),
+             lambda std: hn_to_multiplicity(std).to_text()),
+    "char": (lambda text: puiseux_char_to_standard_hn(parse_puiseux_char(text)),
+             lambda std: hn_to_puiseux_char(std).to_text()),
+    "zariski": (lambda text: hn_from_zariski(_parse_pair_list(text)),
+                lambda std: zariski_from_hn(std).to_text()),
+}
+REPRESENTATIONS = tuple(_REPRESENTATIONS)
 
 
 def _write_pieces(path: str, pieces) -> None:
@@ -181,6 +195,15 @@ def _print_report(report: AuditReport) -> None:
         print(f"ok ({len(report.checks)} checks)")
 
 
+def _print_audit(report: AuditReport, as_json: bool) -> int:
+    """Print a `verify` or `ledger` report; the exit code, 1 when a check failed."""
+    if as_json:
+        _print_json(report.to_json_obj())
+    else:
+        _print_report(report)
+    return 0 if report.ok else 1
+
+
 # ---------------------------------------------------------------- handlers
 
 
@@ -188,7 +211,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     if (args.hn is None) == (args.mult is None):
         raise ValueError("invariants needs exactly one of --hn or --mult")
     source = "hn" if args.hn is not None else "mult"
-    record = cusp_record(_to_standard_hn(source, getattr(args, source)))
+    record = cusp_record(_REPRESENTATIONS[source][0](getattr(args, source)))
     record.semigroup._members     # raises past an index, before any output
     if args.json:
         pad = "\n  "
@@ -214,51 +237,17 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _to_standard_hn(source: str, text: str):
-    if source == "hn":
-        return standardize(parse_hn(text))
-    if source == "mult":
-        return multiplicity_to_standard_hn(parse_multiplicity(text))
-    if source == "char":
-        return puiseux_char_to_standard_hn(parse_puiseux_char(text))
-    return hn_from_zariski(_parse_pair_list(text, ZARISKI))
-
-
-def _from_standard_hn(target: str, std) -> str:
-    if target == "hn":
-        return format_hn(std)
-    if target == "mult":
-        return hn_to_multiplicity(std).to_text()
-    if target == "char":
-        return hn_to_puiseux_char(std).to_text()
-    return zariski_from_hn(std).to_text()
-
-
 def _cmd_convert(args: argparse.Namespace) -> int:
-    std = _to_standard_hn(args.source, args.text)
-    print(_from_standard_hn(args.target, std))
+    std = _REPRESENTATIONS[args.source][0](args.text)
+    print(_REPRESENTATIONS[args.target][1](std))
     return 0
-
-
-def _weight_runs(res):
-    """The vertex weights as (value, count) runs, in vertex order."""
-    for _, length, end in res.runs:
-        yield -2, length - 1
-        yield end, 1
 
 
 def _weight_texts(res):
     """The `v<id>:<weight>` items of the text row, in pieces."""
-    for first, length, end in res.runs:
-        for start, size in _spans(first, length - 1):
-            yield "v" + ":-2 v".join(map(str, range(start, start + size))) + ":-2"
-        yield f"v{first + length - 1}:{end}"
-
-
-def _chain_text(runs):
-    yield "["
-    yield from _joined(_run_texts(runs, "{}", ","), ",")
-    yield "]"
+    for first, count, weight in _vertex_walk(res.runs):
+        for start, size in _spans(first, count):
+            yield "v" + f":{weight} v".join(map(str, range(start, start + size))) + f":{weight}"
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
@@ -270,7 +259,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         _write_pieces(args.dot, _dot_pieces(res))
         return 0
     try:
-        chain_text = _chain_text(res._chain_runs())
+        chain_text = chain("[", _joined(_run_texts(res._chain_runs(), "{}", ","), ","), "]")
     except ValueError:
         chain_text = None
     if args.json:
@@ -279,9 +268,11 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         edge_open, edge_close = "[" + inner + '  "', '"' + inner + "]"
         _print_json({
             "hn": std.to_json_obj(),
-            "weights": _json_list(_run_texts(_weight_runs(res), '"{}"', sep), pad),
+            "weights": _json_list(_run_texts(
+                ((w, n) for _, n, w in _vertex_walk(res.runs)), '"{}"', sep), pad),
             "edges": _json_list((edge_open + text + edge_close for text in _edge_texts(
-                res._edge_walk(), '",' + inner + '  "', edge_close + sep + edge_open)), pad),
+                _edge_walk(res.runs, res.links), '",' + inner + '  "',
+                edge_close + sep + edge_open)), pad),
             "curve_vertex": str(res.c_vertex),
             "multiplicities": _json_list(_run_texts(res.mult.runs, '"{}"', sep), pad),
             "chain": None if chain_text is None else chain('"', chain_text, '"'),
@@ -292,7 +283,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         ("vertices", str(vertices)),
         ("weights", _joined(_weight_texts(res), " ")),
         ("edges", _joined(("v" + text for text in _edge_texts(
-            res._edge_walk(), "-v", " v")), " ")),
+            _edge_walk(res.runs, res.links), "-v", " v")), " ")),
         ("curve", f"v{res.c_vertex}"),
         ("mult", _joined(_run_texts(res.mult.runs, "{}", ","), ",")),
     ]
@@ -369,21 +360,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         seqs = [parse_hn(text) for text in args.hn]
         record = CurveRecord.from_cusps(args.degree, args.gamma, seqs)
         report = full_audit(record)
-    if args.json:
-        _print_json(report.to_json_obj())
-    else:
-        _print_report(report)
-    return 0 if report.ok else 1
+    return _print_audit(report, args.json)
 
 
 def _cmd_ledger(args: argparse.Namespace) -> int:
     ledger = FibrationLedger(args.h, args.nu, args.sigmas, args.chis)
-    report = fibration_ledger(ledger, args.mode)
-    if args.json:
-        _print_json(report.to_json_obj())
-    else:
-        _print_report(report)
-    return 0 if report.ok else 1
+    return _print_audit(fibration_ledger(ledger, args.mode), args.json)
 
 
 # ------------------------------------------------------------------ parser

@@ -114,9 +114,8 @@ class WeightedTree(_Frozen):
     def weights(self) -> tuple[int, ...]:
         """Set at construction, or expanded from the runs on first read."""
         weights: list[int] = []
-        for first, length, end in self._runs:
-            weights += [-2] * (length - 1)
-            weights.append(end)
+        for _, count, weight in _vertex_walk(self._runs):
+            weights += [weight] * count
         return tuple(weights)
 
     @cached_property
@@ -313,7 +312,7 @@ class Chain(_Frozen):
         return ([-entries[p] for p in at],
                 [(v, v + 1, q - p - 1) for v, (p, q) in enumerate(zip(at, at[1:]))])
 
-    @cached_property
+    @property
     def _dets(self) -> tuple[int, bool]:
         """(discriminant, negative definite), from one pass over the junction form."""
         return _verdict(_subtree_determinants(*self._junction_form(), 0)[2])
@@ -404,8 +403,8 @@ def discriminant(t: Divisor) -> int:
 
     Chains and trees alike take the linear-time leaf-to-root expansion of
     `_subtree_determinants`; a chain's runs of 2s are read as single edges,
-    so it costs O(#entries other than 2) integer steps.  The divisor keeps
-    the result, and `is_negative_definite` reads the same pass.
+    so it costs O(#entries other than 2) integer steps.  A tree keeps the
+    result for `is_negative_definite`; a chain, read once, does not.
     """
     return t._dets[0]
 
@@ -706,8 +705,8 @@ class MarkedResolution(_Frozen):
     mult is the full multiplicity sequence read off during the
     construction.  `tree` is the same divisor as a `WeightedTree`, which
     expands the runs only when its weights or edges are read; output
-    (`dot_export` and the CLI) is written from the runs and `_edge_walk` in
-    bounded pieces and never expands them.
+    (`dot_export` and the CLI) is written from `_vertex_walk` and
+    `_edge_walk` of the runs in bounded pieces and never expands them.
     """
 
     _fields = ("runs", "links", "c_vertex", "mult", "hn")
@@ -732,10 +731,6 @@ class MarkedResolution(_Frozen):
         """
         dets = _verdict(_subtree_determinants(*self._junction_form(), 0)[2])
         return WeightedTree._from_runs(self.runs, self.links, dets)
-
-    def _edge_walk(self):
-        """The edges in sorted (a, b) order as pieces (a, b, n); see `_edge_walk`."""
-        return _edge_walk(self.runs, self.links)
 
     def _junction_form(self) -> tuple[list[int], list[tuple[int, int, int]]]:
         """The tree with every run interior contracted, numbered in id order.
@@ -811,13 +806,25 @@ class MarkedResolution(_Frozen):
         return (left, right) if d_left >= d_right else (right, left)
 
 
+def _vertex_walk(runs: Iterable[Run]):
+    """The vertices of a run form in id order as pieces (first, count, weight).
+
+    A piece stands for the `count` vertices from `first` on, all of weight
+    `weight`: a run's (-2)-curves, if any, then its newest vertex.
+    """
+    for first, length, end in runs:
+        if length > 1:
+            yield first, length - 1, -2
+        yield first + length - 1, 1, end
+
+
 def _edge_walk(runs: tuple[Run, ...], links: tuple[tuple[int, int], ...]):
     """The edges of a run form in sorted (a, b) order, a < b, as pieces (a, b, n).
 
-    A piece stands for the n edges (a + i, b + i): the chain inside a run
-    is one piece, a link another.  Every link starts at the newest vertex
-    of a run, so after the chain of each run come the links of its newest
-    vertex, in order; that is the sorted order of all edges.
+    As in `_vertex_walk`, a piece stands for several: the n edges
+    (a + i, b + i).  The chain inside a run is one piece, a link another.
+    Every link starts at the newest vertex of a run, so after the chain of
+    each run come the links of its newest vertex; that is sorted order.
     """
     links = sorted(links)
     i = 0
@@ -965,10 +972,10 @@ def _edge_texts(walk, mid: str, between: str):
 def _dot_pieces(obj):
     """`dot_export` text in pieces of at most _PIECE lines, from the run form.
 
-    A resolution, or its tree, is written from its runs and `_edge_walk`
-    and expands nothing; any other tree is written as runs of one vertex.
-    A resolution too large to list raises OverflowError before the first
-    piece.
+    A resolution, or its tree, is written from `_vertex_walk` and
+    `_edge_walk` of its runs and expands nothing; any other tree is
+    written as runs of one vertex.  A resolution too large to list raises
+    OverflowError before the first piece.
     """
     if isinstance(obj, MarkedResolution):
         runs, links, mark = obj.runs, obj.links, obj.c_vertex
@@ -982,13 +989,11 @@ def _dot_pieces(obj):
     else:
         walk = _edge_walk(runs, links)
     yield "graph Q {\n  node [shape=circle];\n"
-    label = ' [label="-2"];\n'
-    for first, length, end in runs:
-        for start, size in _spans(first, length - 1):
+    for first, count, weight in _vertex_walk(runs):
+        shape = ", shape=doublecircle" if first == mark else ""
+        label = f' [label="{weight}"{shape}];\n'
+        for start, size in _spans(first, count):
             yield "  v" + (label + "  v").join(map(str, range(start, start + size))) + label
-        newest = first + length - 1
-        shape = ", shape=doublecircle" if newest == mark else ""
-        yield f'  v{newest} [label="{end}"{shape}];\n'
     if mark is not None:
         yield "  E [shape=box];\n"
     for text in _edge_texts(walk, " -- v", ";\n  v"):

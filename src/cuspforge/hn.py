@@ -16,7 +16,6 @@ All integers are Python ints, so arbitrary precision comes for free.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from math import gcd
 from typing import Iterable
@@ -26,7 +25,11 @@ from .errors import DegenerateRemainder, NotReducible
 STANDARD = "standard"
 RAW = "raw"
 
-_PAIR_RE = re.compile(r"(\d+)/(\d+)\Z")
+
+def _is_digits(text: str) -> bool:
+    """True for a non-empty string of ASCII decimal digits: the integers of every text format."""
+    return text.isascii() and text.isdigit()
+
 
 # writes past `_Frozen.__setattr__`: the compiled setters, derived values, seeded caches
 _set = object.__setattr__
@@ -167,7 +170,7 @@ class HNSequence(_Frozen):
         for item in obj:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise TypeError(f"an HN pair must be a two-entry array, got {item!r}")
-            if any(isinstance(v, str) and not (v.isascii() and v.isdigit()) for v in item):
+            if any(isinstance(v, str) and not _is_digits(v) for v in item):
                 raise ValueError(f"HN pair entries must be decimal digits, got {item!r}")
             # other entries reach HNPair, which refuses them
             c, p = (int(v) if isinstance(v, str) else v for v in item)
@@ -182,10 +185,10 @@ def parse_hn(text: str, flavor: str = RAW) -> HNSequence:
         raise ValueError("empty HN sequence text")
     pairs = []
     for token in compact.split(","):
-        m = _PAIR_RE.match(token)
-        if m is None:
+        c, sep, p = token.partition("/")
+        if not (sep and _is_digits(c) and _is_digits(p)):
             raise ValueError(f"invalid HN pair token {token!r}")
-        pairs.append(HNPair(int(m.group(1)), int(m.group(2))))
+        pairs.append(HNPair(int(c), int(p)))
     return HNSequence(tuple(pairs), flavor)
 
 

@@ -21,6 +21,7 @@ from .hn import (
     HNSequence,
     STANDARD,
     _Frozen,
+    _is_digits,
     _set,
     format_hn,
     require_valid,
@@ -137,7 +138,7 @@ def parse_multiplicity(text: str, form: str = REDUCED) -> MultiplicitySequence:
     compact = "".join(text.split())
     entries = []
     for token in compact.split(","):
-        if not token.isdigit():
+        if not _is_digits(token):
             raise ValueError(f"invalid multiplicity entry {token!r}")
         entries.append(int(token))
     return MultiplicitySequence.from_entries(entries, form)
@@ -191,8 +192,8 @@ def parse_puiseux_char(text: str) -> PuiseuxCharacteristic:
     if not sep:
         raise ValueError(f"missing ';' after beta0 in {text!r}")
     tokens = [head] + tail.split(",")
-    if any(not t.isdigit() for t in tokens):
-        bad = next(t for t in tokens if not t.isdigit())
+    bad = next((t for t in tokens if not _is_digits(t)), None)
+    if bad is not None:
         raise ValueError(f"invalid characteristic exponent {bad!r}")
     return PuiseuxCharacteristic(tuple(int(t) for t in tokens))
 

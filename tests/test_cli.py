@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from cuspforge import cli, invariants
 from cuspforge.cli import _json_text, run
 from cuspforge.hn import format_hn, parse_hn, standardize
-from cuspforge.invariants import cusp_record
+from cuspforge.invariants import (
+    cusp_record,
+    hn_to_multiplicity,
+    hn_to_puiseux_char,
+    zariski_from_hn,
+)
 from support import (
     invariants_output_oracle,
     resolution_corpus_hn,
@@ -173,9 +178,29 @@ class TestConvert:
         (" ", "error: empty pair list text\n"),
         ("(2,3)(2,3)", "error: invalid pair list text '(2,3)(2,3)'\n"),
         ("2,3", "error: invalid pair list text '2,3'\n"),
+        ("(\u0662,\u0663)", "error: invalid pair list text '(\u0662,\u0663)'\n"),
+        ("(2,+3)", "error: invalid pair list text '(2,+3)'\n"),
+        ("(2,1_3)", "error: invalid pair list text '(2,1_3)'\n"),
+        ("()", "error: invalid pair list text '()'\n"),
     ])
     def test_bad_zariski_text(self, capsys, text, err):
         assert invoke(capsys, "convert", "--from", "zariski", "--to", "hn", text) == (2, "", err)
+
+    @settings(max_examples=40, deadline=None)
+    @given(standard_hn_sequences(cap=300))
+    def test_every_pair_matches_the_library(self, seq):
+        texts = {
+            "hn": format_hn(seq),
+            "mult": hn_to_multiplicity(seq).to_text(),
+            "char": hn_to_puiseux_char(seq).to_text(),
+            "zariski": zariski_from_hn(seq).to_text(),
+        }
+        for source, text in texts.items():
+            for target, want in texts.items():
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run(["convert", "--from", source, "--to", target, text])
+                assert (code, out.getvalue(), err.getvalue()) == (0, want + "\n", "")
 
     def test_unrealizable_mult(self, capsys):
         code, _, err = invoke(capsys, "convert", "--from", "mult",
@@ -712,6 +737,12 @@ class TestUsageErrors:
         (("ledger", "--h", "1", "--nu", "", "--sigmas", "1"), "--nu", ""),
         (("ledger", "--h", "1", "--nu", "0", "--sigmas", "2,x"), "--sigmas", "x"),
         (("ledger", "--h", "1", "--nu", "0", "--sigmas", "1", "--chis", "0,,1"), "--chis", ""),
+        # only ASCII decimal digits: no other script's digits, no `_`, no `+`
+        (("family", "gen", "G", "1_0"), "params", "1_0"),
+        (("family", "gen", "G", "+5"), "params", "+5"),
+        (("ledger", "--h", "\u0663", "--nu", "0", "--sigmas", "1"), "--h", "\u0663"),
+        (("family", "enumerate", "--max-degree", "\uff18"), "--max-degree", "\uff18"),
+        (("ledger", "--h", "1", "--nu", "0", "--sigmas", "2,\u00b2"), "--sigmas", "\u00b2"),
     ])
     def test_bad_integer_names_its_argument(self, capsys, argv, name, token):
         code, out, err = invoke(capsys, *argv)
@@ -723,6 +754,18 @@ class TestUsageErrors:
     def test_family_parameter_is_an_input_error(self, capsys):
         assert invoke(capsys, "verify", "--family", "G", "x") == (
             2, "", "error: invalid integer 'x'\n")
+
+    @pytest.mark.parametrize("param", ["\u0665", "1_0", "+5"])
+    def test_family_parameter_digits_are_ascii(self, capsys, param):
+        assert invoke(capsys, "verify", "--family", "G", param) == (
+            2, "", f"error: invalid integer {param!r}\n")
+
+    def test_negative_integer_reaches_the_domain_check(self, capsys):
+        assert invoke(capsys, "family", "gen", "G", "-3") == (
+            2, "", "error: G requires gamma >= 3, got gamma = -3\n")
+
+    def test_integer_whitespace_and_leading_zeros(self):
+        assert [cli._int(t) for t in (" 7", "007", "-3", "\t-03\n")] == [7, 7, -3, -3]
 
 
 # strings that need escaping: quotes, backslashes, control characters, non-ASCII

@@ -39,7 +39,7 @@ from cuspforge.divisor import (
     resolution_graph,
     star_concat,
 )
-from cuspforge.divisor import _contract_all, _subtree_determinants
+from cuspforge.divisor import _contract_all, _edge_walk, _subtree_determinants
 from cuspforge.errors import (
     CuspforgeError,
     EntryBelowTwo,
@@ -886,7 +886,7 @@ class TestRunForm:
     def test_edge_walk_is_sorted_tree_order(self, s):
         res = resolution_graph(s)
         tree, _, _ = simulate_resolution(s.pairs)
-        walk = [(a + i, b + i) for a, b, n in res._edge_walk() for i in range(n)]
+        walk = [(a + i, b + i) for a, b, n in _edge_walk(res.runs, res.links) for i in range(n)]
         assert walk == list(tree.edges)
         assert len(res) == len(tree)
         assert "tree" not in res.__dict__

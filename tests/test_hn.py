@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from math import gcd
@@ -39,6 +41,11 @@ class TestParsing:
             parse_hn("6/,2/3")
         with pytest.raises(ValueError, match="'x'"):
             parse_hn("x")
+
+    @pytest.mark.parametrize("token", ["\u0663/\u0662", "3/\u0662", "+3/2", "1_3/4", "\uff13/2", "3/2/1"])
+    def test_entries_are_ascii_decimal_digits(self, token):
+        with pytest.raises(ValueError, match=re.escape(f"invalid HN pair token {token!r}")):
+            parse_hn(token)
 
     def test_pair_entries_positive(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -128,6 +129,11 @@ class TestMultiplicity:
         with pytest.raises(ValueError, match="'two'"):
             parse_multiplicity("4,two")
 
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0664", "+4", "1_0", "\uff14"])
+    def test_parse_refuses_all_but_ascii_digits(self, token):
+        with pytest.raises(ValueError, match=re.escape(f"invalid multiplicity entry {token!r}")):
+            parse_multiplicity(token + ",1")
+
     @pytest.mark.parametrize("runs,form,msg", [
         (((2, 1),), "half", "unknown multiplicity form 'half'"),
         (((2, 0),), REDUCED, r"bad multiplicity run \(2,0\)"),
@@ -195,6 +201,9 @@ class TestPuiseuxCharacteristic:
         ("4,6,9", "missing ';' after beta0"),
         ("4;6,x", "invalid characteristic exponent 'x'"),
         ("4;", "invalid characteristic exponent ''"),
+        ("\u0664;\u0666,\u0669", "invalid characteristic exponent '\u0664'"),
+        ("4;6,+9", r"invalid characteristic exponent '\+9'"),
+        ("4;6,9_1", "invalid characteristic exponent '9_1'"),
     ])
     def test_invalid(self, text, msg):
         with pytest.raises(ValueError, match=msg):

@@ -19,13 +19,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspforge import invariants
-from cuspforge.cli import _weight_runs
 from cuspforge.divisor import (
     CHAIN,
     Chain,
     FiberReport,
     WeightedTree,
     _edge_texts,
+    _edge_walk,
+    _vertex_walk,
     classify_fiber,
     fiber_multiplicities,
     resolution_graph,
@@ -294,8 +295,9 @@ def test_every_listed_field_of_a_resolution_is_non_empty(seq):
     """
     res = resolution_graph(seq)
     assert len(res) >= 3
-    weights = _pieces_and_items(_run_texts(_weight_runs(res), "{}", ","), ",")
-    edges = _pieces_and_items(_edge_texts(res._edge_walk(), "-", ","), ",")
+    weights = _pieces_and_items(_run_texts(
+        ((w, n) for _, n, w in _vertex_walk(res.runs)), "{}", ","), ",")
+    edges = _pieces_and_items(_edge_texts(_edge_walk(res.runs, res.links), "-", ","), ",")
     assert len(weights) == len(res) and len(edges) == len(res) - 1 >= 2
     assert _pieces_and_items(_run_texts(res.mult.runs, "{}", ","), ",")
 
