@@ -19,10 +19,13 @@ from .families import (
     enumerate_curves,
     generate,
 )
-from .hn import _is_digits, format_hn, parse_hn, standardize
+from .hn import _compact, _is_digits, format_hn, parse_hn, standardize
 from .invariants import (
     ZARISKI,
     PairList,
+    _I,
+    _J,
+    _numbered,
     _run_texts,
     _spans,
     cusp_record,
@@ -78,7 +81,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_pair_list(text: str) -> PairList:
-    s = "".join(text.split())
+    s = _compact(text)
     if not s:
         raise ValueError("empty pair list text")
     pairs = [item.split(",") for item in s[1:-1].split("),(")]
@@ -245,9 +248,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _weight_texts(res):
     """The `v<id>:<weight>` items of the text row, in pieces."""
+    blocks: dict[str, list[list[str]]] = {}
     for first, count, weight in _vertex_walk(res.runs):
+        item = f"v{_I}:{weight}"
         for start, size in _spans(first, count):
-            yield "v" + f":{weight} v".join(map(str, range(start, start + size))) + f":{weight}"
+            yield _numbered(item, " ", start, size, blocks)
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
@@ -265,14 +270,12 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     if args.json:
         pad, inner = "\n  ", "\n    "
         sep = "," + inner
-        edge_open, edge_close = "[" + inner + '  "', '"' + inner + "]"
+        edge = "[" + inner + f'  "{_I}",' + inner + f'  "{_J}"' + inner + "]"
         _print_json({
             "hn": std.to_json_obj(),
             "weights": _json_list(_run_texts(
                 ((w, n) for _, n, w in _vertex_walk(res.runs)), '"{}"', sep), pad),
-            "edges": _json_list((edge_open + text + edge_close for text in _edge_texts(
-                _edge_walk(res.runs, res.links), '",' + inner + '  "',
-                edge_close + sep + edge_open)), pad),
+            "edges": _json_list(_edge_texts(_edge_walk(res.runs, res.links), edge, sep), pad),
             "curve_vertex": str(res.c_vertex),
             "multiplicities": _json_list(_run_texts(res.mult.runs, '"{}"', sep), pad),
             "chain": None if chain_text is None else chain('"', chain_text, '"'),
@@ -282,8 +285,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         ("hn", format_hn(std)),
         ("vertices", str(vertices)),
         ("weights", _joined(_weight_texts(res), " ")),
-        ("edges", _joined(("v" + text for text in _edge_texts(
-            _edge_walk(res.runs, res.links), "-v", " v")), " ")),
+        ("edges", _joined(_edge_texts(_edge_walk(res.runs, res.links), f"v{_I}-v{_J}", " "), " ")),
         ("curve", f"v{res.c_vertex}"),
         ("mult", _joined(_run_texts(res.mult.runs, "{}", ","), ",")),
     ]

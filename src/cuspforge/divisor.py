@@ -45,7 +45,7 @@ from .errors import (
     NotCoprime,
 )
 from .hn import HNPair, HNSequence, RAW, _Frozen, _set, standard_form
-from .invariants import FULL, MultiplicitySequence, _spans
+from .invariants import FULL, MultiplicitySequence, _I, _J, _numbered, _spans
 
 NONDEGENERATE = "nondegenerate"
 CHAIN = "chain"
@@ -957,16 +957,21 @@ def hn_chain_identities(c: int, p: int) -> ChainIdentityReport:
     )
 
 
-def _edge_texts(walk, mid: str, between: str):
-    """The walk's edges as id texts, `mid` inside an edge and `between` edges.
+def _edge_texts(walk, item: str, sep: str):
+    """The walk's edges as `item` texts joined by `sep`, in pieces.
 
-    One text per piece of the walk of at most _PIECE edges.
+    _I in `item` stands for an edge's first id and _J for its second.  One
+    text per piece of the walk of at most _PIECE edges.  A piece of
+    several edges joins ids (a + i, a + i + 1), which `_numbered` writes a
+    block of 100 at a time; an edge on its own is written as it is.
     """
+    blocks: dict[str, list[list[str]]] = {}
     for a, b, n in walk:
-        for first, size in _spans(0, n):
-            yield between.join(map(mid.join, zip(
-                map(str, range(a + first, a + first + size)),
-                map(str, range(b + first, b + first + size)))))
+        if n == 1:
+            yield item.replace(_I, str(a)).replace(_J, str(b))
+            continue
+        for first, size in _spans(a, n):
+            yield _numbered(item, sep, first, size, blocks)
 
 
 def _dot_pieces(obj):
@@ -974,8 +979,9 @@ def _dot_pieces(obj):
 
     A resolution, or its tree, is written from `_vertex_walk` and
     `_edge_walk` of its runs and expands nothing; any other tree is
-    written as runs of one vertex.  A resolution too large to list raises
-    OverflowError before the first piece.
+    written as runs of one vertex.  The vertex lines of a run, like its
+    edges (`_edge_texts`), come from `_numbered`, 100 ids at a time.  A
+    resolution too large to list raises OverflowError before the first piece.
     """
     if isinstance(obj, MarkedResolution):
         runs, links, mark = obj.runs, obj.links, obj.c_vertex
@@ -989,15 +995,15 @@ def _dot_pieces(obj):
     else:
         walk = _edge_walk(runs, links)
     yield "graph Q {\n  node [shape=circle];\n"
+    blocks: dict[str, list[list[str]]] = {}
     for first, count, weight in _vertex_walk(runs):
         shape = ", shape=doublecircle" if first == mark else ""
-        label = f' [label="{weight}"{shape}];\n'
+        item = f'  v{_I} [label="{weight}"{shape}];\n'
         for start, size in _spans(first, count):
-            yield "  v" + (label + "  v").join(map(str, range(start, start + size))) + label
+            yield _numbered(item, "", start, size, blocks)
     if mark is not None:
         yield "  E [shape=box];\n"
-    for text in _edge_texts(walk, " -- v", ";\n  v"):
-        yield "  v" + text + ";\n"
+    yield from _edge_texts(walk, f"  v{_I} -- v{_J};\n", "")
     if mark is not None:
         yield f"  v{mark} -- E [style=dashed];\n"
     yield "}\n"

@@ -31,6 +31,15 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _compact(text: str) -> str:
+    """`text` without its whitespace, which may not stand between two digits."""
+    words = text.split()
+    for left, right in zip(words, words[1:]):
+        if _is_digits(left[-1]) and _is_digits(right[0]):
+            raise ValueError(f"whitespace inside a number in {text!r}")
+    return "".join(words)
+
+
 # writes past `_Frozen.__setattr__`: the compiled setters, derived values, seeded caches
 _set = object.__setattr__
 
@@ -179,8 +188,8 @@ class HNSequence(_Frozen):
 
 
 def parse_hn(text: str, flavor: str = RAW) -> HNSequence:
-    """Parse the ``"c1/p1,c2/p2,..."`` syntax; whitespace is ignored."""
-    compact = "".join(text.split())
+    """Parse the ``"c1/p1,c2/p2,..."`` syntax; whitespace between numbers is ignored."""
+    compact = _compact(text)
     if not compact:
         raise ValueError("empty HN sequence text")
     pairs = []

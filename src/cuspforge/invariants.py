@@ -21,6 +21,7 @@ from .hn import (
     HNSequence,
     STANDARD,
     _Frozen,
+    _compact,
     _is_digits,
     _set,
     format_hn,
@@ -42,6 +43,46 @@ def _spans(start: int, count: int):
     """(start, count) cut into (first, size) pieces of at most _PIECE items."""
     for first in range(start, start + count, _PIECE):
         yield first, min(_PIECE, start + count - first)
+
+
+_I, _J = "\x00", "\x01"    # in a numbered item: the id i and the id i + 1
+
+
+def _numbered(item: str, sep: str, first: int, count: int,
+              blocks: dict[str, list[list[str]]]) -> str:
+    """`item` for each id i from `first` on, `count` of them, joined by `sep`.
+
+    _I in `item` stands for i and _J for i + 1; neither may occur in `sep`.
+    From 100 on, each aligned block of 100 ids shares its leading digits,
+    so a block is written from one template of the last two digits, in
+    which _I stands for the leading digits of i and _J for those of the
+    block's last i + 1.  The template is kept in `blocks` under `item`
+    (one dict per `sep`) cut at its markers, and a block is its cuts
+    joined with those digits: two `str.join` calls, about twice as fast as
+    `str.replace` on the whole block.  A range that starts or ends inside
+    a block is sliced out of the whole block, in which every item but the
+    last has the same length.  Ids below 100 are written one by one.
+    """
+    end = first + count
+    low = min(max(first, 100), end)    # the first id written from a block
+    texts = [item.replace(_I, str(i)).replace(_J, str(i + 1)) for i in range(first, low)]
+    if low < end:
+        cuts = blocks.get(item)
+        if cuts is None:
+            block = sep.join([
+                item.replace(_I, f"{_I}{d:02}").replace(_J, f"{_I}{d + 1:02}")
+                for d in range(99)] + [item.replace(_I, f"{_I}99").replace(_J, f"{_J}00")])
+            cuts = blocks[item] = [text.split(_I) for text in block.split(_J)]
+        p, q = low // 100, (end - 1) // 100    # the first and the last block
+        run = [str(k + 1).join([str(k).join(cut) for cut in cuts]) for k in range(p, q + 1)]
+        # an item and `sep` in block k take size + marks * len(str(k)) characters
+        marks = item.count(_I) + item.count(_J)
+        size = len(item) + len(sep) + marks
+        if end % 100:
+            run[-1] = run[-1][:end % 100 * (size + marks * len(str(q))) - len(sep)]
+        run[0] = run[0][low % 100 * (size + marks * len(str(p))):]
+        texts += run
+    return sep.join(texts)
 
 
 def _run_texts(runs, fmt: str, sep: str) -> Iterator[str]:
@@ -135,7 +176,7 @@ def _merge_runs(runs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 
 def parse_multiplicity(text: str, form: str = REDUCED) -> MultiplicitySequence:
     """Parse the comma-separated entry syntax, e.g. ``"4,2,2,2"``."""
-    compact = "".join(text.split())
+    compact = _compact(text)
     entries = []
     for token in compact.split(","):
         if not _is_digits(token):
@@ -187,7 +228,7 @@ class PuiseuxCharacteristic(_Frozen):
 
 def parse_puiseux_char(text: str) -> PuiseuxCharacteristic:
     """Parse the ``"beta0;beta1,beta2,..."`` syntax, e.g. ``"4;6,9"``."""
-    compact = "".join(text.split())
+    compact = _compact(text)
     head, sep, tail = compact.partition(";")
     if not sep:
         raise ValueError(f"missing ';' after beta0 in {text!r}")

@@ -37,6 +37,8 @@ from cuspforge.invariants import (
     MultiplicitySequence,
     PairList,
     PuiseuxCharacteristic,
+    _I,
+    _J,
     alexander_polynomial,
 )
 
@@ -426,6 +428,13 @@ def chain_oracle(tree: WeightedTree, v: int) -> tuple[int, ...]:
     if discriminant(Chain(left)) >= discriminant(Chain(right)):
         return right[::-1] + (1,) + left
     return left[::-1] + (1,) + right
+
+
+def numbered_oracle(item: str, sep: str, first: int, count: int) -> str:
+    """`invariants._numbered` id by id: `str` of i for _I and of i + 1 for _J in each item."""
+    return sep.join(
+        "".join(str(i) if ch == _I else str(i + 1) if ch == _J else ch for ch in item)
+        for i in range(first, first + count))
 
 
 def resolve_output_oracle(std: HNSequence) -> tuple[str, str, str]:

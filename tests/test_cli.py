@@ -13,17 +13,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge import cli, invariants
+from cuspforge import cli, divisor, invariants
 from cuspforge.cli import _json_text, run
 from cuspforge.hn import format_hn, parse_hn, standardize
 from cuspforge.invariants import (
+    _I,
+    _J,
+    _numbered,
     cusp_record,
     hn_to_multiplicity,
     hn_to_puiseux_char,
+    parse_multiplicity,
+    parse_puiseux_char,
     zariski_from_hn,
 )
 from support import (
     invariants_output_oracle,
+    numbered_oracle,
     resolution_corpus_hn,
     resolve_output_oracle,
     standard_hn_sequences,
@@ -265,9 +271,10 @@ class TestResolveFromRuns:
     """Output written from the run form against the expanded-tree printing."""
 
     @settings(max_examples=40, deadline=None)
-    @given(resolution_corpus_hn(cap=3000), st.sampled_from([1, 2, 3, 7]))
+    @given(resolution_corpus_hn(cap=3000), st.sampled_from([1, 2, 3, 7, 150, 250]))
     def test_matches_expanded_tree_output(self, s, piece):
-        # tiny pieces put piece boundaries inside runs, edges and chains
+        # tiny pieces put piece boundaries inside runs, edges and chains;
+        # 150 and 250 put them inside blocks of 100 ids
         want = resolve_output_oracle(s)
         assert resolve_outputs(format_hn(s)) == want
         with pytest.MonkeyPatch.context() as mp:
@@ -276,7 +283,7 @@ class TestResolveFromRuns:
 
     @pytest.mark.parametrize("text", [
         "3/2", "13/4", "6/4,2/3", "987/144,3/1", "120/90,30/20,10/7",
-        "65537/2", "49153/3", "16387/16385",
+        "65537/2", "49153/3", "16387/16385", "20003/2",
     ])
     def test_fixed_cases(self, text):
         # runs longer than one piece of output, and pieces that end a run
@@ -308,6 +315,70 @@ class TestResolveFromRuns:
                               "6/4,2/99999999999999999999999", "--dot", str(target))
         assert code == 2 and err.startswith("error: ")
         assert not target.exists()
+
+
+# (item, sep) of every `_numbered` call of the resolve writers, by writer, for these weights
+def writer_items(weights):
+    inner = "\n    "
+    return {
+        "json edges": [("[" + inner + f'  "{_I}",' + inner + f'  "{_J}"' + inner + "]", "," + inner)],
+        "text edges": [(f"v{_I}-v{_J}", " ")],
+        "dot edges": [(f"  v{_I} -- v{_J};\n", "")],
+        "text vertices": [(f"v{_I}:{w}", " ") for w in weights],
+        "dot vertices": [(f'  v{_I} [label="{w}"{shape}];\n', "")
+                         for w in weights for shape in ("", ", shape=doublecircle")],
+    }
+
+
+def all_writer_items(weights):
+    return [pair for pairs in writer_items(weights).values() for pair in pairs]
+
+
+# ids that cross 99/100, 999/1000, ..., 10**15 - 1/10**15
+_crossing_starts = st.builds(lambda k, back: max(10**k - back, 0),
+                             st.integers(2, 15), st.integers(0, 450))
+
+
+class TestNumbered:
+    """`invariants._numbered` against writing each id on its own."""
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(all_writer_items([-1, -2, -17])),
+           st.integers(0, 10**15) | st.integers(0, 10**13).map(lambda p: 100 * p)
+           | _crossing_starts,
+           st.integers(0, 450))
+    def test_matches_oracle(self, pair, first, count):
+        item, sep = pair
+        blocks = {}
+        assert _numbered(item, sep, first, count, blocks) == numbered_oracle(item, sep, first, count)
+        # a second call reads the kept template
+        assert _numbered(item, sep, first, count, blocks) == numbered_oracle(item, sep, first, count)
+
+    def test_every_boundary_of_small_ids(self):
+        item, sep = writer_items([])["json edges"][0]
+        for first in range(0, 320):
+            for count in (0, 1, 99, 100, 101, 201):
+                assert _numbered(item, sep, first, count, {}) == numbered_oracle(item, sep, first, count)
+
+    def test_writers_pass_known_items(self, monkeypatch):
+        calls = []
+
+        def recording(item, sep, first, count, blocks):
+            calls.append((item, sep))
+            return _numbered(item, sep, first, count, blocks)
+
+        monkeypatch.setattr(divisor, "_numbered", recording)
+        monkeypatch.setattr(cli, "_numbered", recording)
+        for text in ("987/144,3/1", "120/90,30/20,10/7", "20003/2", "40002/4,2/1"):
+            resolve_outputs(text)
+        known = writer_items(range(-200, 0))
+        assert set(calls) <= set(all_writer_items(range(-200, 0)))
+        # every writer is among the calls
+        assert all(set(calls) & set(pairs) for pairs in known.values())
+        markers = {_I, _J}
+        assert not any(markers & set(sep) for _, sep in calls)
+        # an item holds each marker at most once, and _I always
+        assert all(item.count(_I) == 1 and item.count(_J) <= 1 for item, _ in calls)
 
 
 class TestFamily:
@@ -766,6 +837,35 @@ class TestUsageErrors:
 
     def test_integer_whitespace_and_leading_zeros(self):
         assert [cli._int(t) for t in (" 7", "007", "-3", "\t-03\n")] == [7, 7, -3, -3]
+
+
+# (parser, representation, text with whitespace inside a number, the same
+# cusp with whitespace around separators only, what that text reads as hn)
+WHITESPACE_CASES = [
+    (parse_hn, "hn", "1 3/4", " 13 / 4 ", "13/4"),
+    (parse_hn, "hn", "6/4,2/3\t3","6/4 ,\t2/3\n", "6/4,2/3"),
+    (parse_multiplicity, "mult", "1 2,4", " 4, 2 ,2,2 ", "6/4,2/3"),
+    (parse_puiseux_char, "char", "4;1 3", " 4 ; 13 ", "13/4"),
+    (parse_puiseux_char, "char", "4;6,9 9", "4 ;6, 9", "6/4,2/3"),
+    (cli._parse_pair_list, "zariski", "(2,1 3)", " ( 2 , 13 ) ", "13/2"),
+]
+
+
+class TestWhitespaceInsideNumbers:
+    """Whitespace between two digits is refused; around separators it is ignored."""
+
+    @pytest.mark.parametrize("parser, _, bad, good, __", WHITESPACE_CASES)
+    def test_library_refuses_split_number(self, parser, _, bad, good, __):
+        with pytest.raises(ValueError, match="whitespace inside a number"):
+            parser(bad)
+        parser(good)
+
+    @pytest.mark.parametrize("parser, source, bad, good, hn", WHITESPACE_CASES)
+    def test_cli_refuses_split_number(self, capsys, parser, source, bad, good, hn):
+        assert invoke(capsys, "convert", "--from", source, "--to", "hn", bad) == (
+            2, "", f"error: whitespace inside a number in {bad!r}\n")
+        assert invoke(capsys, "convert", "--from", source, "--to", "hn", good) == (
+            0, hn + "\n", "")
 
 
 # strings that need escaping: quotes, backslashes, control characters, non-ASCII

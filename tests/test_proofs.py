@@ -36,6 +36,8 @@ from cuspforge.hn import RAW, STANDARD, HNPair, HNSequence, expand_low_p, standa
 from cuspforge.invariants import (
     FULL,
     MultiplicitySequence,
+    _I,
+    _J,
     _run_texts,
     cusp_record,
     hn_to_multiplicity,
@@ -297,7 +299,7 @@ def test_every_listed_field_of_a_resolution_is_non_empty(seq):
     assert len(res) >= 3
     weights = _pieces_and_items(_run_texts(
         ((w, n) for _, n, w in _vertex_walk(res.runs)), "{}", ","), ",")
-    edges = _pieces_and_items(_edge_texts(_edge_walk(res.runs, res.links), "-", ","), ",")
+    edges = _pieces_and_items(_edge_texts(_edge_walk(res.runs, res.links), _I + "-" + _J, ","), ",")
     assert len(weights) == len(res) and len(edges) == len(res) - 1 >= 2
     assert _pieces_and_items(_run_texts(res.mult.runs, "{}", ","), ",")
 
