@@ -53,7 +53,7 @@ SPECIAL_FORK = "special_fork"
 OTHER = "other"
 
 
-class WeightedTree(_Frozen):
+class WeightedTree(_Frozen, trusted=True):
     """Connected acyclic weighted graph; ids are dense and creation-ordered.
 
     Equality and hashing are up to weight-preserving isomorphism (canonical
@@ -233,7 +233,7 @@ def _canonical_code(weights, adj) -> tuple:
     return min(_rooted_code(weights, adj, c) for c in _centers(n, adj))
 
 
-class Chain(_Frozen):
+class Chain(_Frozen, trusted=True):
     """A linear dual graph [a1,...,ar]; entry a_i is minus the weight.
 
     Equality ignores orientation, matching the convention that a chain and

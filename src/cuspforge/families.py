@@ -5,13 +5,17 @@ the printed formulas for the curve degree, gamma = -E^2, the raw HN pairs of
 each cusp and the tabulated reduced multiplicity runs of each cusp.  Only
 the parameter domains live apart, in `_domain_error`.  Degenerate parameter
 choices are emitted through the same uniform formulas and cleaned up by
-standardization, so there is a single code path per family.
+standardization, so there is a single code path per family.  Records are
+built by one generator over the parameter sweep: `enumerate_curves` lists
+it with a cusp table that keeps every distinct cusp, and the CLI streams it
+with one that keeps the last 256.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import index
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ParamOutOfDomain
 from .hn import HNPair, HNSequence, RAW, _Frozen, standardize
@@ -235,28 +239,33 @@ class CurveRecord(_Frozen):
 def generate(spec: FamilySpec) -> CurveRecord:
     """Emit the raw printed cusps plus their standard forms for one instance."""
     check_domain(spec)
-    return _build(spec, {})
+    return _build(spec, _cusp)
 
 
-def _build(spec: FamilySpec, table: dict) -> CurveRecord:
-    """The record of an admissible instance, its cusps taken from table.
+def _cusp(pairs: tuple[tuple[int, int], ...]) -> tuple[HNSequence, HNSequence]:
+    """The (raw, standard) sequence pair of a cusp's raw pairs (c, p)."""
+    raw = HNSequence(tuple(HNPair(c, p) for c, p in pairs), RAW)
+    return raw, standardize(raw)
 
-    The table maps the raw pairs (c, p) of a cusp, as the family formula
-    gives them, to its (raw, standard) sequence pair; a cusp missing from
-    it is built, validated and standardized, then entered.
+
+def _build(spec: FamilySpec, cusp: Callable) -> CurveRecord:
+    """The record of an admissible instance, each cusp made by `cusp`.
+
+    `cusp` is `_cusp` or a cache of it: it maps the raw pairs (c, p) of a
+    cusp, as a tuple, to the cusp's (raw, standard) sequence pair.
     """
     family, params = _FAMILIES[spec.id], spec.params
-    cusps = []
-    for pairs in family.cusps(*params):
-        key = tuple(pairs)
-        cusp = table.get(key)
-        if cusp is None:
-            raw = HNSequence(tuple(HNPair(c, p) for c, p in pairs), RAW)
-            cusp = table[key] = (raw, standardize(raw))
-        cusps.append(cusp)
     return CurveRecord(degree=index(family.degree(*params)),
                        gamma=index(family.gamma(*params)),
-                       cusps=tuple(cusps), family=spec)
+                       cusps=tuple(cusp(tuple(pairs)) for pairs in family.cusps(*params)),
+                       family=spec)
+
+
+def _records(max_degree: int, cusp: Callable) -> Iterator[CurveRecord]:
+    """The records of `enumerate_curves`, in its order, one at a time; `cusp` as in `_build`."""
+    for fid in FAMILY_IDS:
+        for params in _sweep(fid, (), max_degree):
+            yield _build(FamilySpec(fid, params), cusp)
 
 
 def enumerate_curves(max_degree: int) -> list[CurveRecord]:
@@ -280,9 +289,7 @@ def enumerate_curves(max_degree: int) -> list[CurveRecord]:
        parameter form one interval, so its sweep stops at the first value
        refused after one admitted.
     """
-    table: dict = {}
-    return [_build(FamilySpec(fid, params), table)
-            for fid in FAMILY_IDS for params in _sweep(fid, (), max_degree)]
+    return list(_records(max_degree, lru_cache(maxsize=None)(_cusp)))
 
 
 def _sweep(fid: str, prefix: tuple[int, ...], max_degree: int):

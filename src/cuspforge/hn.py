@@ -50,10 +50,12 @@ class _Frozen:
     A subclass names its fields in order in `_fields`, and only `_Frozen`
     writes them, through the setter `_fill(self, <fields>)` it compiles for
     each class.  A class with a hand-written `__init__` (its own or a
-    base's) validates and then calls `self._fill(...)` once; it also gets
-    the classmethod `_trusted(cls, <fields>)`, which builds an instance
-    from fields known to be valid and checks nothing.  A plain record's
-    `__init__` is its `_fill`: positional or keyword, no defaults.  Two
+    base's) validates and then calls `self._fill(...)` once.  One declared
+    with `trusted=True` also gets the classmethod `_trusted(cls, <fields>)`,
+    which builds an instance from fields known to be valid and checks
+    nothing.  Only a class whose instance is its fields alone may declare
+    it, and only a class the package builds that way does.  A plain
+    record's `__init__` is its `_fill`: positional or keyword, no defaults.  Two
     instances are equal when they are of the same class and their field
     tuples are equal, and the hash is the hash of that tuple.  Attributes
     outside `_fields` (derived values and caches) take no part in equality,
@@ -70,14 +72,14 @@ class _Frozen:
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls) -> None:
+    def __init_subclass__(cls, trusted: bool = False) -> None:
         cls.__match_args__ = names = cls._fields
         params = "".join(f", {name}" for name in names)
         sets = "".join(f"\n _set(self, {name!r}, {name})" for name in names)
         source = f"def _fill(self{params}):{sets}\n"
         # an inherited compiled `__init__` (from "<string>") may name other fields
         plain = cls.__init__ is object.__init__ or cls.__init__.__code__.co_filename == "<string>"
-        if not plain:
+        if trusted:
             source += f"def _trusted(cls{params}):\n self = object.__new__(cls){sets}\n return self\n"
         if "__eq__" not in vars(cls):
             mine = "".join(f"self.{name}," for name in names)
@@ -124,7 +126,7 @@ class HNPair(_Frozen):
         return f"{self.c}/{self.p}"
 
 
-class HNSequence(_Frozen):
+class HNSequence(_Frozen, trusted=True):
     """An ordered, non-empty sequence of HN pairs with a declared flavor.
 
     The constructor does not enforce the flavor's axioms; use

@@ -93,7 +93,7 @@ def _run_texts(runs, fmt: str, sep: str) -> Iterator[str]:
             yield sep.join(repeat(item, size))
 
 
-class MultiplicitySequence(_Frozen):
+class MultiplicitySequence(_Frozen, trusted=True):
     """Non-increasing multiplicity sequence, held as (value, count) runs.
 
     The reduced form drops trailing 1s (so it is empty for a smooth point);

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge import cli, divisor, invariants
+from cuspforge import cli, divisor, invariants, verify
 from cuspforge.cli import _json_text, run
+from cuspforge.families import enumerate_curves
 from cuspforge.hn import format_hn, parse_hn, standardize
 from cuspforge.invariants import (
     _I,
@@ -456,6 +458,44 @@ class TestFamily:
                                   "--max-degree", "5", "--audit", *extra)
             assert code == 1
             assert "FAILED" in out or '"audit_ok": false' in out
+
+    def test_enumerate_audit_failure_past_the_first_block(self, capsys, monkeypatch):
+        # A(1,3,2), curve 1,523 of 2,984, is the only one with the cusp 11/7;
+        # the curves are audited and written in blocks as they are built
+        from test_verify import corrupting
+
+        target = standardize(parse_hn("11/7"))
+        records = enumerate_curves(80)
+        assert [i for i, rec in enumerate(records) if target in rec.standard_cusps] == [1522]
+        real = verify.resolution_graph
+        corrupted = corrupting(real, 0)
+        monkeypatch.setattr(verify, "resolution_graph",
+                            lambda seq: corrupted(seq) if seq == target else real(seq))
+        code, out, _ = invoke(capsys, "family", "enumerate", "--max-degree", "80", "--audit")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line for line in lines if line.endswith("  audit FAILED")] == [lines[1522]]
+        assert lines[1522].startswith("A(1,3,2) ")
+        assert sum(line.endswith("  audit ok") for line in lines) == 2983
+        assert lines[-1] == "2984 curves with degree <= 80"
+
+    def test_enumerate_audit_peak_memory_flat_in_the_degree(self):
+        # the cusp table and the audit window are full from degree 25 (321
+        # curves, 350 distinct raw cusps); past it the peak grows mostly by
+        # what the interpreter's free lists keep, emptied by `gc.collect`
+        def peak(max_degree):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run(["family", "enumerate", "--max-degree", str(max_degree), "--audit"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert run(["family", "enumerate", "--max-degree", "2"]) == 0   # the parser, built once
+            low, high = peak(25), peak(75)
+        assert high <= 1.5 * low
 
 
 class Md5Sink:
